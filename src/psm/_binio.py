@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from typing import BinaryIO
 
@@ -57,14 +59,43 @@ def read_u64(fh: BinaryIO) -> int:
     return struct.unpack("<Q", _read_exact(fh, 8))[0]
 
 
+def bytes_left(fh: BinaryIO) -> int:
+    """Bytes between the current position and the end of the file."""
+    pos = fh.tell()
+    end = fh.seek(0, os.SEEK_END)
+    fh.seek(pos)
+    return end - pos
+
+
+def expect_eof(fh: BinaryIO, what: str) -> None:
+    """Raise unless the whole file has been read."""
+    extra = bytes_left(fh)
+    if extra:
+        raise FormatError(f"{extra} trailing bytes after the {what}")
+
+
+def _read_array(fh: BinaryIO, shape: tuple[int, ...], dtype: str) -> np.ndarray:
+    # Python ints cannot overflow, so a header claiming a huge shape is
+    # caught here rather than wrapping to a small byte count.
+    nbytes = 8 * math.prod(int(n) for n in shape)
+    left = bytes_left(fh)
+    if nbytes > left:
+        raise FormatError(
+            f"truncated file: header claims {nbytes} bytes of data, {left} left"
+        )
+    flat = np.frombuffer(_read_exact(fh, nbytes), dtype=dtype)
+    try:
+        return flat.reshape(shape)
+    except ValueError:  # an empty array with a dimension numpy cannot hold
+        raise FormatError(f"implausible array shape {shape}") from None
+
+
 def write_f64_array(fh: BinaryIO, arr: np.ndarray) -> None:
     fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
 def read_f64_array(fh: BinaryIO, shape: tuple[int, ...]) -> np.ndarray:
-    count = int(np.prod(shape)) if shape else 1
-    buf = _read_exact(fh, 8 * count)
-    return np.frombuffer(buf, dtype="<f8").reshape(shape).astype(np.float64)
+    return _read_array(fh, shape, "<f8").astype(np.float64)
 
 
 def write_i64_array(fh: BinaryIO, arr: np.ndarray) -> None:
@@ -72,6 +103,4 @@ def write_i64_array(fh: BinaryIO, arr: np.ndarray) -> None:
 
 
 def read_i64_array(fh: BinaryIO, shape: tuple[int, ...]) -> np.ndarray:
-    count = int(np.prod(shape)) if shape else 1
-    buf = _read_exact(fh, 8 * count)
-    return np.frombuffer(buf, dtype="<i8").reshape(shape).astype(np.int64)
+    return _read_array(fh, shape, "<i8").astype(np.int64)

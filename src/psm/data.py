@@ -152,6 +152,7 @@ def load_csv(path: str | Path, split: str = "train") -> Dataset:
     dim = len(header) - 1
     labels = []
     rows = []
+    line_nos = []
     for ln, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -165,10 +166,16 @@ def load_csv(path: str | Path, split: str = "train") -> Dataset:
             rows.append([float(v) for v in parts[1:]])
         except ValueError as exc:
             raise DataFormatError(f"{path}: line {ln}: {exc}") from exc
+        line_nos.append(ln)
     if not rows:
         raise DataFormatError(f"{path}: no data rows")
+    features = np.array(rows, dtype=np.float64)
+    bad = ~np.isfinite(features).all(axis=1)
+    if bad.any():
+        ln = line_nos[int(np.argmax(bad))]
+        raise DataFormatError(f"{path}: line {ln}: non-finite feature value")
     return Dataset(
-        features=np.array(rows, dtype=np.float64),
+        features=features,
         labels=np.array(labels, dtype=np.int64),
         split=split,
     )
@@ -199,6 +206,7 @@ def load_dataset(path: str | Path, split: str = "train") -> Dataset:
         if not has_labels:
             raise _binio.FormatError("dataset file lacks labels")
         labels = _binio.read_i64_array(fh, (count,))
+        _binio.expect_eof(fh, "dataset")
     return Dataset(features=feats, labels=labels, split=split)
 
 

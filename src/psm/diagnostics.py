@@ -17,7 +17,11 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .memory_bank import MemoryBank
-from .numerics import check_unit_rows
+from .numerics import check_unit_rows, top_k_indices
+
+# Test rows per block of knn_probe's top-k selection and vote, which bounds
+# the selection's scratch arrays whatever the test-set size.
+_KNN_BLOCK = 128
 
 
 @dataclass
@@ -121,7 +125,7 @@ def gradient_profile(
     check_unit_rows(queries, "queries")
     check_unit_rows(positives, "positives")
     sims = bank.similarities(queries)
-    ranked = -np.sort(-sims, axis=1)[:, :rank_depth]
+    ranked = -np.sort(np.partition(-sims, rank_depth - 1, axis=1)[:, :rank_depth], axis=1)
     # statistic per (query, rank): |coefficient| * ||d s / d q|| with the
     # derivative of a dot product against a unit bank row having norm 1
     stats = bce_gradient_coefficient((ranked + 1.0) / 2.0, is_positive=False)
@@ -156,16 +160,23 @@ def knn_probe(
         raise ValueError("empty train set")
     if k_nn < 1:
         raise ValueError("k_nn must be at least 1")
+    if train_labels.min() < 0:
+        raise ValueError("kNN probe labels must be nonnegative")
     k = min(k_nn, train_emb.shape[0])
-    sims = test_emb @ train_emb.T
-    nn_idx = np.argsort(-sims, axis=1, kind="stable")[:, :k]
-    votes = train_labels[nn_idx]
     n_classes = int(train_labels.max()) + 1
+    # One product for all rows: BLAS may round a row differently when it is
+    # multiplied in a smaller block, which could move a neighbour at a tie.
+    sims = test_emb @ train_emb.T
     correct = 0
-    for i in range(test_emb.shape[0]):
-        counts = np.bincount(votes[i], minlength=n_classes)
-        if counts.argmax() == test_labels[i]:
-            correct += 1
+    for start in range(0, test_emb.shape[0], _KNN_BLOCK):
+        block = slice(start, start + _KNN_BLOCK)
+        votes = train_labels[top_k_indices(sims[block], k)]
+        rows = votes.shape[0]
+        # per-row label counts via one bincount over (row, label) cells;
+        # argmax takes the first maximum, so vote ties go to the smallest label
+        cells = (np.arange(rows)[:, None] * n_classes + votes).ravel()
+        counts = np.bincount(cells, minlength=rows * n_classes).reshape(rows, n_classes)
+        correct += int(np.count_nonzero(counts.argmax(axis=1) == test_labels[block]))
     return correct / test_emb.shape[0]
 
 
@@ -202,10 +213,10 @@ def linear_probe(
         w -= lr * (g.T @ train_emb)
         b -= lr * g.sum(axis=0)
     logits = test_emb @ w.T + b
-    order = np.argsort(-logits, axis=1, kind="stable")
-    top1 = float(np.mean(order[:, 0] == test_labels))
     kk = min(5, n_classes)
-    topk = float(np.mean([test_labels[i] in order[i, :kk] for i in range(len(test_labels))]))
+    order = top_k_indices(logits, kk)
+    top1 = float(np.mean(order[:, 0] == test_labels))
+    topk = float(np.mean((order == test_labels[:, None]).any(axis=1)))
     return top1, topk
 
 

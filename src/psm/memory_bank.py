@@ -153,22 +153,9 @@ def query_topk(bank: MemoryBank, z2: np.ndarray, k: int, query_id: int = 0) -> M
     z2 = np.asarray(z2, dtype=np.float64).reshape(-1)
     if z2.shape[0] != bank.dim:
         raise ValueError(f"query dim {z2.shape[0]} does not match bank dim {bank.dim}")
-    if len(bank) == 0 or k == 0:
-        return MinedNeighborSet(
-            query_id=query_id,
-            members=z2[None, :].copy(),
-            bank_indices=np.empty(0, dtype=np.int64),
-            sims=np.ones(1),
-        )
-    sims = bank.similarities(z2)[0]
-    idx = top_k_indices(sims, k)
-    entries = bank.entries()
-    members = np.concatenate([z2[None, :], entries[idx]], axis=0)
+    members, idx, sims, _ = query_topk_batch(bank, z2[None, :], k)
     return MinedNeighborSet(
-        query_id=query_id,
-        members=members,
-        bank_indices=idx,
-        sims=np.concatenate([[1.0], sims[idx]]),
+        query_id=query_id, members=members[0], bank_indices=idx[0], sims=sims[0]
     )
 
 
@@ -178,8 +165,11 @@ def query_topk_batch(
     """Vectorized query_topk over a (B, d) block of views.
 
     All queries share k_eff = min(k, bank size). Returns (members, indices,
-    sims, k_eff) shaped (B, k_eff+1, d), (B, k_eff), (B, k_eff+1).
+    sims, k_eff) shaped (B, k_eff+1, d), (B, k_eff), (B, k_eff+1). Ties
+    rank the older entry (smaller enqueue index) first.
     """
+    if k < 0:
+        raise ValueError("k must be nonnegative")
     z2 = np.asarray(z2, dtype=np.float64)
     bsz = z2.shape[0]
     k_eff = min(k, len(bank))
@@ -189,9 +179,8 @@ def query_topk_batch(
     if k_eff == 0:
         return members, np.empty((bsz, 0), dtype=np.int64), sims_out, 0
     sims = bank.similarities(z2)
-    idx = np.argsort(-sims, axis=1, kind="stable")[:, :k_eff].astype(np.int64)
-    entries = bank.entries()
-    members[:, 1:, :] = entries[idx]
+    idx = top_k_indices(sims, k_eff)
+    members[:, 1:, :] = bank._buf[bank._order_map()[idx]]
     sims_out[:, 1:] = np.take_along_axis(sims, idx, axis=1)
     return members, idx, sims_out, k_eff
 
@@ -218,10 +207,13 @@ def load_bank(path: str | Path) -> MemoryBank:
         count = _binio.read_u64(fh)
         dim = _binio.read_u64(fh)
         has_labels = _binio.read_u8(fh)
+        if capacity < 1 or dim < 1:
+            raise _binio.FormatError("bank capacity and dim must be positive")
         if count > capacity:
             raise _binio.FormatError("count exceeds capacity")
         entries = _binio.read_f64_array(fh, (count, dim))
         labels = _binio.read_i64_array(fh, (count,)) if has_labels else None
+        _binio.expect_eof(fh, "bank")
     bank = MemoryBank(capacity, dim, with_labels=bool(has_labels))
     if count:
         bank.enqueue_batch(entries, labels)

@@ -456,6 +456,29 @@ def save_checkpoint(
             _binio.write_f64_array(fh, tensor)
 
 
+def _check_checkpoint_size(cfg: NetworkConfig, left: int) -> None:
+    """Raise unless the header's widths account for exactly ``left`` bytes.
+
+    Runs before any tensor is allocated, so an absurd width in a corrupt
+    header cannot turn into a huge allocation.
+    """
+    widths = (cfg.in_dim, *cfg.encoder, *cfg.projector, *cfg.predictor)
+    if not (cfg.encoder and cfg.projector and cfg.predictor) or min(widths) < 1:
+        raise _binio.FormatError("checkpoint heads need positive widths")
+    n_all = n_trainable = 0
+    for head in HEADS:
+        sizes = cfg.head_sizes(head)
+        for fan_in, width in zip(sizes, sizes[1:]):
+            n_trainable += width * fan_in + width + (2 * width if cfg.bn else 0)
+            n_all += width * fan_in + width + (4 * width if cfg.bn else 0)
+    # optimizer scalars (5 f64, 3 u64), online and target tensors, buffers
+    want = 8 * (8 + 2 * n_all + n_trainable)
+    if want != left:
+        raise _binio.FormatError(
+            f"checkpoint widths imply {want} bytes after the header, file holds {left}"
+        )
+
+
 def load_checkpoint(
     path: str | Path,
 ) -> tuple[NetworkParams, OptimizerState, NetworkParams]:
@@ -469,6 +492,8 @@ def load_checkpoint(
         widths = {}
         for head in ("encoder", "projector", "predictor"):
             n = _binio.read_u64(fh)
+            if 8 * n > _binio.bytes_left(fh):
+                raise _binio.FormatError(f"truncated file: {head} claims {n} layers")
             widths[head] = tuple(_binio.read_u64(fh) for _ in range(n))
         cfg = NetworkConfig(
             in_dim=in_dim,
@@ -479,6 +504,7 @@ def load_checkpoint(
             bn_eps=float(bn_eps),
             bn_momentum=float(bn_momentum),
         )
+        _check_checkpoint_size(cfg, _binio.bytes_left(fh))
         mom, wd, base, peak, floor = _binio.read_f64_array(fh, (5,))
         opt = OptimizerState(
             momentum=float(mom),

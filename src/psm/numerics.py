@@ -17,6 +17,10 @@ EmbeddingMatrix = NDArray[np.float64]
 _U64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
+# Below this norm the squares of a row's entries can be subnormal, which
+# costs precision, or flush to zero; such rows are rescaled before squaring.
+_TINY_NORM = 1e-100
+
 
 def l2_normalize_rows(
     m: EmbeddingMatrix, *, return_flags: bool = False
@@ -25,7 +29,9 @@ def l2_normalize_rows(
 
     Zero-norm rows are left as zeros rather than raising, so a degenerate
     augmentation cannot abort a run mid-epoch. Callers that care receive
-    the per-row zero mask via ``return_flags=True``.
+    the per-row zero mask via ``return_flags=True``. Rows whose norm is
+    tiny are divided by their largest magnitude first, so squaring their
+    entries cannot underflow; every other row takes the direct path.
 
     Args:
         m: matrix of shape (rows, d).
@@ -38,6 +44,12 @@ def l2_normalize_rows(
     if m.ndim != 2:
         raise ValueError(f"expected a 2-d matrix, got shape {m.shape}")
     norms = np.sqrt(np.einsum("ij,ij->i", m, m))
+    tiny = norms < _TINY_NORM
+    if np.any(tiny):
+        m = m.copy()
+        scale = np.abs(m[tiny]).max(axis=1, initial=0.0)
+        m[tiny] /= np.where(scale == 0.0, 1.0, scale)[:, None]
+        norms[tiny] = np.sqrt(np.einsum("ij,ij->i", m[tiny], m[tiny]))
     zero = norms == 0.0
     safe = np.where(zero, 1.0, norms)
     out = m / safe[:, None]
@@ -84,21 +96,47 @@ def softmax(v: NDArray[np.float64]) -> NDArray[np.float64]:
 
 
 def top_k_indices(scores: NDArray[np.float64], k: int) -> NDArray[np.int64]:
-    """Indices of the ``min(k, len(scores))`` largest scores, descending.
+    """Indices of the ``min(k, n)`` largest scores of each row, descending.
 
-    Ties are broken by the smaller index first, which a stable sort of the
-    negated scores gives for free.
+    ``scores`` is one row of n scores or a (rows, n) matrix; the result has
+    the same number of dimensions. The answer equals the first k columns
+    of ``np.argsort(-scores, kind="stable")``: ties go to the smaller
+    index, also where they straddle the k-th place, and NaN ranks last.
+    Only the k survivors of a partial selection are sorted.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
     scores = np.asarray(scores, dtype=np.float64)
-    if scores.ndim != 1:
-        raise ValueError("scores must be 1-d")
-    kk = min(k, scores.size)
+    if scores.ndim not in (1, 2):
+        raise ValueError("scores must be 1-d or 2-d")
+    neg = -np.atleast_2d(scores)
+    rows, n = neg.shape
+    kk = min(k, n)
     if kk == 0:
-        return np.empty(0, dtype=np.int64)
-    order = np.argsort(-scores, kind="stable")
-    return order[:kk].astype(np.int64)
+        idx = np.empty((rows, 0), dtype=np.int64)
+    else:
+        idx = np.argpartition(neg, kk - 1, axis=1)[:, :kk]
+        kth = np.take_along_axis(neg, idx[:, kk - 1 : kk], axis=1)
+        # The partition picks an arbitrary subset of the entries that tie
+        # at the k-th value; rows where such ties straddle the cut, or
+        # where that value is NaN, are redone by rank of index.
+        redo = np.isnan(kth[:, 0]) | ((neg <= kth).sum(axis=1) > kk)
+        for r in np.flatnonzero(redo):
+            idx[r] = _exact_survivors(neg[r], kth[r, 0], kk)
+        idx = np.sort(idx, axis=1)
+        order = np.argsort(np.take_along_axis(neg, idx, axis=1), axis=1, kind="stable")
+        idx = np.take_along_axis(idx, order, axis=1).astype(np.int64, copy=False)
+    return idx[0] if scores.ndim == 1 else idx
+
+
+def _exact_survivors(neg: np.ndarray, kth: float, kk: int) -> NDArray[np.intp]:
+    """The kk smallest of ``neg`` (NaN largest), smaller index first on ties."""
+    if np.isnan(kth):
+        below, tied = ~np.isnan(neg), np.isnan(neg)
+    else:
+        below, tied = neg < kth, neg == kth
+    ahead = np.flatnonzero(below)
+    return np.concatenate([ahead, np.flatnonzero(tied)[: kk - ahead.size]])
 
 
 def check_unit_rows(m: np.ndarray, what: str, tol: float = 1e-6) -> None:

@@ -314,7 +314,7 @@ def _evaluate_psm_step(
     passes = [(cache, total.grad_q)]
     if cfg.symmetrize:
         total_b, soft_b, hard_b, cache_b, _, _, retained_b = _psm_pass(
-            cfg, params, bank, x2, z2a, cands_hard, labels, rng_pnsm
+            cfg, params, bank, x2, z2a, cands_hard, labels, rng_pnsm.split("pass", 1)
         )
         passes = [(cache, 0.5 * total.grad_q), (cache_b, 0.5 * total_b.grad_q)]
         total = LossOutput(

@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -216,6 +217,16 @@ class TestExitCodes:
             ["pretrain", "--data", str(bad), "--out", str(tmp_path / "o")]
         )
         assert code == 2
+
+    def test_non_finite_data_csv(self, tmp_path):
+        ds = Dataset(RngState(5).normal((40, 3)), np.arange(40, dtype=np.int64) % 2)
+        ds.features[17, 1] = np.nan
+        path = tmp_path / "nan.csv"
+        save_csv(ds, path)
+        out = tmp_path / "o"
+        code = cli.main(["pretrain", "--data", str(path), "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "argv",
@@ -440,6 +451,32 @@ class TestMine:
             ["mine", "--bank", str(bank_path), "--query", str(narrow)]
         )
         assert code == 2
+
+    def test_non_finite_query_is_data_error(self, bank_and_queries, tmp_path, capsys):
+        bank_path, _ = bank_and_queries
+        ds = Dataset(RngState(3).normal((2, 4)), np.zeros(2, dtype=np.int64))
+        ds.features[1, 2] = np.nan
+        path = tmp_path / "nan.csv"
+        save_csv(ds, path)
+        code = cli.main(["mine", "--bank", str(bank_path), "--query", str(path)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "line 3: non-finite" in captured.err
+
+    def test_bank_header_claiming_huge_shape_is_data_error(
+        self, tmp_path, bank_and_queries, capsys
+    ):
+        _, query_path = bank_and_queries
+        bad = tmp_path / "huge.psmb"
+        # magic, version, capacity and count of 2**62 rows, dim 64, no
+        # labels, then 4 stray bytes: 37 bytes in all
+        bad.write_bytes(
+            b"PSMB" + struct.pack("<IQQQB", 1, 2**62, 2**62, 64, 0) + b"\0" * 4
+        )
+        assert len(bad.read_bytes()) == 37
+        code = cli.main(["mine", "--bank", str(bad), "--query", str(query_path)])
+        assert code == 2
+        assert "truncated file" in capsys.readouterr().err
 
     def test_corrupt_bank_is_data_error(self, tmp_path, bank_and_queries):
         _, query_path = bank_and_queries

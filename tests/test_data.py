@@ -158,6 +158,13 @@ class TestCsv:
         with pytest.raises(DataFormatError, match="line 2"):
             load_csv(path)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_field_reports_line_number(self, tmp_path, value):
+        path = tmp_path / "d.csv"
+        path.write_text(f"label,f0,f1\n0,1.0,2.0\n\n1,3.0,{value}\n")
+        with pytest.raises(DataFormatError, match="line 4: non-finite"):
+            load_csv(path)
+
     def test_bad_header(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("foo,f0,f1\n0,1.0,2.0\n")

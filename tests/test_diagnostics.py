@@ -99,6 +99,21 @@ class TestGradientProfile:
         np.testing.assert_array_equal(profile.var_norm, np.ones(3))
         assert profile.mean_positive_rank == pytest.approx(1.0)
 
+    def test_matches_full_sort_reference(self):
+        rows = l2_normalize_rows(RngState(5).normal((60, 5)))
+        bank = _bank_of(np.concatenate([rows, rows[:20]]))
+        q = l2_normalize_rows(RngState(6).normal((7, 5)))
+        p = l2_normalize_rows(RngState(7).normal((7, 5)))
+        profile = gradient_profile(q, p, bank, rank_depth=45)
+        ranked = -np.sort(-(q @ bank.entries().T), axis=1)[:, :45]
+        stats = (ranked + 1.0) / 2.0
+        np.testing.assert_array_equal(
+            profile.mean_norm, stats.mean(axis=0) / stats.mean(axis=0).max()
+        )
+        np.testing.assert_array_equal(
+            profile.var_norm, stats.var(axis=0) / stats.var(axis=0).max()
+        )
+
     def test_bank_must_cover_rank_depth(self):
         bank = _bank_of([[1.0, 0.0], [0.0, 1.0]])
         q = np.array([[1.0, 0.0]])
@@ -143,6 +158,31 @@ class TestKnnProbe:
         labels = np.array([0, 1])
         acc = knn_probe(train, labels, train, labels, k_nn=50)
         assert 0.0 <= acc <= 1.0
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_brute_force_vote(self, seed):
+        rng = RngState(seed)
+        # few distinct directions, so neighbours tie and votes split evenly
+        dirs = l2_normalize_rows(rng.normal((6, 4)))
+        train = dirs[rng.integers(0, 6, size=90)]
+        labels = rng.integers(0, 3, size=90)
+        test = dirs[rng.integers(0, 6, size=300)]  # spans several blocks
+        test_labels = rng.integers(0, 3, size=300)
+        vote_ties = 0
+        for k_nn in (1, 4, 20, 200):
+            correct = 0
+            for row, want in zip(test, test_labels):
+                nn = np.argsort(-(train @ row), kind="stable")[:k_nn]
+                counts = [int(np.sum(labels[nn] == c)) for c in range(3)]
+                correct += counts.index(max(counts)) == want
+                vote_ties += counts.count(max(counts)) > 1
+            got = knn_probe(train, labels, test, test_labels, k_nn=k_nn)
+            assert got == correct / len(test)
+        assert vote_ties > 0
+
+    def test_negative_labels_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            knn_probe(np.eye(2), np.array([0, -1]), np.eye(2), np.array([0, 1]))
 
     def test_empty_train_rejected(self):
         with pytest.raises(ValueError, match="empty"):

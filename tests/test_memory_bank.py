@@ -131,9 +131,12 @@ class TestQueryTopk:
     def test_batch_matches_single_queries(self):
         rng = RngState(12)
         entries = _unit_rows(rng, 20, 5)
-        bank = MemoryBank(20, 5)
-        bank.enqueue_batch(entries)
-        queries = _unit_rows(rng, 6, 5)
+        bank = MemoryBank(16, 5)
+        # duplicates of two rows, and a wrapped ring buffer
+        bank.enqueue_batch(entries[:12])
+        bank.enqueue_batch(np.concatenate([entries[12:], entries[[3, 9]]]))
+        assert bank._ptr != 0
+        queries = np.concatenate([_unit_rows(rng, 4, 5), entries[[3, 9]]])
         members, idx, sims, k_eff = query_topk_batch(bank, queries, 4)
         assert k_eff == 4 and members.shape == (6, 5, 5)
         for i in range(6):
@@ -141,6 +144,24 @@ class TestQueryTopk:
             np.testing.assert_array_equal(idx[i], single.bank_indices)
             np.testing.assert_array_equal(members[i], single.members)
             np.testing.assert_allclose(sims[i], single.sims, atol=0)
+
+    @pytest.mark.parametrize("wrapped", [False, True])
+    @pytest.mark.parametrize("k", range(7))
+    def test_duplicate_rows_tie_to_smaller_enqueue_index(self, wrapped, k):
+        far, mid, best = [0.0, 1.0], [0.6, 0.8], [1.0, 0.0]
+        bank = MemoryBank(5, 2)
+        bank.enqueue_batch(np.array([far, mid, best, far, mid]))
+        if wrapped:
+            bank.enqueue_batch(np.array([mid]))  # evicts the oldest far row
+            assert bank._ptr != 0
+        q = np.array([[1.0, 0.0], [0.6, 0.8]])
+        members, idx, sims, k_eff = query_topk_batch(bank, q, k)
+        entries = bank.entries()
+        want = np.argsort(-(q @ entries.T), axis=1, kind="stable")[:, :k_eff]
+        np.testing.assert_array_equal(idx, want)
+        np.testing.assert_array_equal(members[:, 1:], entries[want])
+        if k == 2:
+            assert idx[0].tolist() == ([1, 0] if wrapped else [2, 1])
 
     def test_batch_cold_bank(self):
         bank = MemoryBank(8, 3)

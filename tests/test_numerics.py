@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from psm.numerics import (
@@ -38,10 +38,25 @@ class TestNormalize:
             max_size=8,
         )
     )
+    @example([[0.0, 0.0, 8.428457206266921e-162]])
+    @example([[1e-170, 0.0, 0.0]])
     def test_rows_unit_or_zero(self, rows):
-        out = l2_normalize_rows(np.array(rows, dtype=np.float64))
+        m = np.array(rows, dtype=np.float64)
+        out, flags = l2_normalize_rows(m, return_flags=True)
         norms = np.linalg.norm(out, axis=1)
         assert np.all((np.abs(norms - 1.0) < 1e-9) | (norms == 0.0))
+        np.testing.assert_array_equal(flags, ~m.any(axis=1))
+
+    @pytest.mark.parametrize("tiny", [1e-170, 8.428457206266921e-162, 5e-324])
+    def test_tiny_row_is_rescaled_not_flagged(self, tiny):
+        out, flags = l2_normalize_rows(np.array([[0.0, -tiny, 0.0]]), return_flags=True)
+        np.testing.assert_array_equal(out, [[0.0, -1.0, 0.0]])
+        assert flags.tolist() == [False]
+
+    def test_ordinary_rows_take_the_direct_path(self):
+        m = RngState(4).normal((50, 7)) * np.logspace(-90, 90, 50)[:, None]
+        want = m / np.sqrt(np.einsum("ij,ij->i", m, m))[:, None]
+        np.testing.assert_array_equal(l2_normalize_rows(m), want)
 
 
 class TestCosine:
@@ -131,6 +146,42 @@ class TestTopK:
 
     def test_k_zero(self):
         assert top_k_indices(np.array([0.3]), 0).size == 0
+
+    def test_rows_select_independently(self):
+        s = np.array([[0.1, 0.9, 0.5], [0.7, 0.7, 0.2]])
+        assert top_k_indices(s, 2).tolist() == [[1, 2], [0, 1]]
+
+    def test_negative_k_rejected(self):
+        with pytest.raises(ValueError):
+            top_k_indices(np.array([0.3]), -1)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda rows: st.integers(1, 12).flatmap(
+                lambda n: st.tuples(
+                    st.lists(
+                        st.lists(
+                            st.sampled_from(
+                                [-3.0, -1.0, -0.0, 0.0, 1.0, 2.0, np.nan, np.inf, -np.inf]
+                            ),
+                            min_size=n,
+                            max_size=n,
+                        ),
+                        min_size=rows,
+                        max_size=rows,
+                    ),
+                    st.integers(0, n + 2),
+                )
+            )
+        )
+    )
+    def test_equals_stable_argsort(self, case):
+        rows, k = case
+        s = np.array(rows, dtype=np.float64)
+        want = np.argsort(-s, axis=1, kind="stable")[:, :k]
+        np.testing.assert_array_equal(top_k_indices(s, k), want)
+        np.testing.assert_array_equal(top_k_indices(s[0], k), want[0])
 
 
 class TestCheckUnitRows:

@@ -144,6 +144,48 @@ class TestSwapInvariance:
             np.testing.assert_allclose(ga[key], gb[key], rtol=1e-7, atol=1e-10)
 
 
+class TestMiningSubstreams:
+    def _step_keys(self, monkeypatch, symmetrize):
+        from psm import pnsm, trainer
+
+        keys = []
+
+        def recording(sims_flat, s_pos, off, cfg, rng):
+            keys.append(rng._key)
+            return pnsm.filter_csr(sims_flat, s_pos, off, cfg, rng)
+
+        monkeypatch.setattr(trainer, "filter_csr", recording)
+        net_cfg = NetworkConfig(
+            in_dim=8, encoder=(16, 8), projector=(8, 6), predictor=(6, 6)
+        )
+        params = init_params(net_cfg, RngState(3))
+        bank = MemoryBank(64, 6, with_labels=True)
+        bank.enqueue_batch(
+            l2_normalize_rows(RngState(4).normal((40, 6))),
+            RngState(5).integers(0, 4, size=40),
+        )
+        x = gen_clusters(4, 4, 8, 6.0, seed=6).features
+        cfg = _mini_cfg(symmetrize=symmetrize, use_pnsm=True, k=3)
+        labels = np.arange(16, dtype=np.int64) % 4
+        _evaluate_psm_step(
+            cfg, params, copy_params(params), bank, x + 0.05, x - 0.05, labels, 1, 0,
+            RngState(9),
+        )
+        return keys
+
+    def test_symmetrized_passes_draw_distinct_streams(self, monkeypatch):
+        keys = self._step_keys(monkeypatch, symmetrize=True)
+        assert len(keys) == 4  # hard and soft pools of both passes
+        assert len(set(keys)) == 4
+
+    def test_first_pass_streams_unchanged_by_symmetrize(self, monkeypatch):
+        plain = self._step_keys(monkeypatch, symmetrize=False)
+        sym = self._step_keys(monkeypatch, symmetrize=True)
+        step = RngState(9).split("pnsm", 1, 0)
+        assert plain == [step.split("hard")._key, step.split("soft")._key]
+        assert sym[:2] == plain
+
+
 class TestLossComposition:
     def test_hard_only_total_scales_with_lambda(self, mini_data):
         train, _ = mini_data
