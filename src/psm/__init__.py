@@ -9,162 +9,12 @@ filtering of negatives (:mod:`psm.pnsm`), a hand-differentiated MLP stack
 with an EMA target copy (:mod:`psm.network`), and an orchestration layer
 with metrics, probes, and a CLI (:mod:`psm.trainer`, :mod:`psm.cli`).
 
-Heavy inner loops live in :mod:`psm._kernels` and run either as compiled
-numba functions or as plain numpy, selected by the ``PSM_BACKEND``
-environment variable; both backends produce the same results to float64
-round-off.
+Everything is plain NumPy. Import what you need from those modules; the
+package itself exports only the synthetic data generator.
 """
 
-from ._kernels import active_backend, available_backends, set_backend
-from .data import (
-    AugmentPolicy,
-    DataFormatError,
-    Dataset,
-    gen_clusters,
-    load_csv,
-    load_dataset,
-    save_csv,
-    save_dataset,
-    split_dataset,
-    two_views,
-)
-from .diagnostics import (
-    GradientProfile,
-    PurityReport,
-    gradient_profile,
-    knn_probe,
-    linear_probe,
-    purity,
-)
-from .memory_bank import (
-    MemoryBank,
-    MinedNeighborSet,
-    load_bank,
-    query_topk,
-    query_topk_batch,
-    save_bank,
-)
-from .network import (
-    NetworkConfig,
-    NetworkParams,
-    OptimizerState,
-    backward,
-    commit_bn_stats,
-    ema_update,
-    embed,
-    forward_online,
-    forward_target,
-    init_params,
-    load_checkpoint,
-    lr_at,
-    save_checkpoint,
-    sgd_step,
-)
-from .numerics import (
-    RngState,
-    cosine_similarity,
-    l2_normalize_rows,
-    similarity_matrix,
-    softmax,
-    top_k_indices,
-)
-from .pnsm import (
-    FALLBACK_ARGMAX,
-    MinedNegativeSet,
-    MiningConfig,
-    filter_negative_sets,
-    mine_negatives,
-    mining_probability,
-)
-from .ppsm import (
-    STRATEGIES,
-    LossOutput,
-    WeightVector,
-    apply_weight_strategy,
-    hard_loss,
-    infonce_loss,
-    psm_loss,
-    soft_loss,
-    soft_weights,
-)
-from .trainer import (
-    METRICS_HEADER,
-    RunArtifacts,
-    TrainConfig,
-    pretrain,
-    pretrain_baseline,
-    run_ablation_suite,
-    write_metrics_csv,
-)
+from .data import gen_clusters
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AugmentPolicy",
-    "DataFormatError",
-    "Dataset",
-    "FALLBACK_ARGMAX",
-    "GradientProfile",
-    "LossOutput",
-    "MemoryBank",
-    "METRICS_HEADER",
-    "MinedNegativeSet",
-    "MinedNeighborSet",
-    "MiningConfig",
-    "NetworkConfig",
-    "NetworkParams",
-    "OptimizerState",
-    "PurityReport",
-    "RngState",
-    "RunArtifacts",
-    "STRATEGIES",
-    "TrainConfig",
-    "WeightVector",
-    "active_backend",
-    "apply_weight_strategy",
-    "available_backends",
-    "backward",
-    "commit_bn_stats",
-    "cosine_similarity",
-    "ema_update",
-    "embed",
-    "filter_negative_sets",
-    "forward_online",
-    "forward_target",
-    "gen_clusters",
-    "gradient_profile",
-    "hard_loss",
-    "infonce_loss",
-    "init_params",
-    "knn_probe",
-    "l2_normalize_rows",
-    "linear_probe",
-    "load_bank",
-    "load_checkpoint",
-    "load_csv",
-    "load_dataset",
-    "lr_at",
-    "mine_negatives",
-    "mining_probability",
-    "pretrain",
-    "pretrain_baseline",
-    "psm_loss",
-    "purity",
-    "query_topk",
-    "query_topk_batch",
-    "run_ablation_suite",
-    "save_bank",
-    "save_checkpoint",
-    "save_csv",
-    "save_dataset",
-    "set_backend",
-    "sgd_step",
-    "similarity_matrix",
-    "soft_loss",
-    "soft_weights",
-    "softmax",
-    "split_dataset",
-    "top_k_indices",
-    "two_views",
-    "write_metrics_csv",
-]
+__all__ = ["gen_clusters"]

@@ -1,4 +1,4 @@
-"""Synthetic cluster datasets, two-view augmentation, and dataset file I/O.
+"""Synthetic cluster datasets, two-view augmentation, and dataset CSV I/O.
 
 The generator draws class means on a sphere of configurable radius and
 unit-variance Gaussian points around them. Labels are carried for probes
@@ -14,11 +14,7 @@ from pathlib import Path
 import numpy as np
 from numpy.typing import NDArray
 
-from . import _binio
 from .numerics import RngState, l2_normalize_rows
-
-_DATA_MAGIC = b"PSMD"
-_DATA_VERSION = 1
 
 
 class DataFormatError(ValueError):
@@ -179,35 +175,6 @@ def load_csv(path: str | Path, split: str = "train") -> Dataset:
         labels=np.array(labels, dtype=np.int64),
         split=split,
     )
-
-
-def save_dataset(dataset: Dataset, path: str | Path) -> None:
-    """Binary form, same layout family as the bank dump."""
-    with open(path, "wb") as fh:
-        _binio.write_magic(fh, _DATA_MAGIC, _DATA_VERSION)
-        _binio.write_u64(fh, dataset.n)
-        _binio.write_u64(fh, dataset.n)
-        _binio.write_u64(fh, dataset.dim)
-        _binio.write_u8(fh, 1)
-        _binio.write_f64_array(fh, dataset.features)
-        _binio.write_i64_array(fh, dataset.labels)
-
-
-def load_dataset(path: str | Path, split: str = "train") -> Dataset:
-    with open(path, "rb") as fh:
-        version = _binio.read_magic(fh, _DATA_MAGIC)
-        if version != _DATA_VERSION:
-            raise _binio.FormatError(f"unsupported dataset version {version}")
-        _capacity = _binio.read_u64(fh)
-        count = _binio.read_u64(fh)
-        dim = _binio.read_u64(fh)
-        has_labels = _binio.read_u8(fh)
-        feats = _binio.read_f64_array(fh, (count, dim))
-        if not has_labels:
-            raise _binio.FormatError("dataset file lacks labels")
-        labels = _binio.read_i64_array(fh, (count,))
-        _binio.expect_eof(fh, "dataset")
-    return Dataset(features=feats, labels=labels, split=split)
 
 
 def split_dataset(

@@ -45,7 +45,8 @@ class MemoryBank:
 
     Single writer; read-only queries may interleave freely between
     enqueues. Labels ride along for the purity diagnostic only and are
-    never consulted by any loss path.
+    never consulted by any loss path. Storage grows with the entries, up
+    to capacity, so a large capacity costs nothing until it is used.
     """
 
     def __init__(self, capacity: int, dim: int, with_labels: bool = False):
@@ -53,10 +54,24 @@ class MemoryBank:
             raise ValueError("capacity and dim must be positive")
         self.capacity = int(capacity)
         self.dim = int(dim)
-        self._buf = np.zeros((self.capacity, self.dim), dtype=np.float64)
-        self._labels = np.zeros(self.capacity, dtype=np.int64) if with_labels else None
+        self._buf = np.zeros((0, self.dim), dtype=np.float64)
+        self._labels = np.zeros(0, dtype=np.int64) if with_labels else None
         self._ptr = 0
         self._count = 0
+
+    def _reserve(self, rows: int) -> None:
+        # Grow storage to at least ``rows`` rows, doubling, never past capacity.
+        have = self._buf.shape[0]
+        if rows <= have:
+            return
+        size = min(self.capacity, max(rows, 2 * have))
+        buf = np.zeros((size, self.dim), dtype=np.float64)
+        buf[:have] = self._buf
+        self._buf = buf
+        if self._labels is not None:
+            labels = np.zeros(size, dtype=np.int64)
+            labels[:have] = self._labels
+            self._labels = labels
 
     def __len__(self) -> int:
         return self._count
@@ -105,6 +120,7 @@ class MemoryBank:
         n = batch.shape[0]
         if n == 0:
             return
+        self._reserve(min(self._count + n, self.capacity))
         if n >= self.capacity:
             self._buf[:] = batch[n - self.capacity :]
             if self._labels is not None:

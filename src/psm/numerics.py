@@ -58,28 +58,6 @@ def l2_normalize_rows(
     return out
 
 
-def cosine_similarity(a: NDArray[np.float64], b: NDArray[np.float64]) -> float:
-    """Dot product of two unit vectors, clamped to [-1, 1] against round-off."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape or a.ndim != 1:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return float(min(1.0, max(-1.0, float(a @ b))))
-
-
-def similarity_matrix(a: EmbeddingMatrix, b: EmbeddingMatrix) -> EmbeddingMatrix:
-    """Pairwise cosine similarities between rows of two normalized matrices.
-
-    Entry (i, j) is the dot product of row i of ``a`` with row j of ``b``,
-    clamped to [-1, 1]. Rows of 0 are allowed and give a 0 x |b| result.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
-        raise ValueError(f"incompatible shapes {a.shape} and {b.shape}")
-    return np.clip(a @ b.T, -1.0, 1.0)
-
-
 def softmax(v: NDArray[np.float64]) -> NDArray[np.float64]:
     """Stable softmax of a nonempty finite score vector.
 
@@ -218,15 +196,6 @@ class RngState:
     def permutation(self, n: int) -> NDArray[np.int64]:
         return self._gen.permutation(n).astype(np.int64)
 
-    def bernoulli(self, p: float) -> bool:
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"probability out of range: {p}")
-        return bool(self._gen.random() < p)
-
     def __repr__(self) -> str:
         return f"RngState(seed={self.seed}, key={self._key})"
 
-
-def bernoulli(rng: RngState, p: float) -> bool:
-    """True with probability ``p``, advancing ``rng`` deterministically."""
-    return rng.bernoulli(p)

@@ -16,34 +16,26 @@ order the queries are evaluated in.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 from numpy.typing import NDArray
 
-from ._kernels import mine_mask
 from .numerics import RngState, check_unit_rows
-
-FALLBACK_ARGMAX = "argmax_p"
 
 
 @dataclass
 class MiningConfig:
-    """Density parameter and fallback policy for negative mining.
+    """Density parameter of negative mining.
 
     The rng substream a caller passes in is expected to already encode the
-    (seed, epoch, step) position; per-query separation happens inside
-    filter_negative_sets.
+    (seed, epoch, step) position.
     """
 
     a: float = 0.5
-    fallback: str = FALLBACK_ARGMAX
 
     def __post_init__(self):
         if self.a < 0:
             raise ValueError(f"a must be nonnegative, got {self.a}")
-        if self.fallback != FALLBACK_ARGMAX:
-            raise ValueError(f"unknown fallback policy {self.fallback!r}")
 
 
 @dataclass
@@ -64,6 +56,47 @@ def mining_probability(s_neg, s_pos, a: float):
     if np.ndim(p) == 0:
         return float(p)
     return p
+
+
+def _mine_mask_numpy(sims_flat, s_pos, off, a, uniforms):
+    counts = np.diff(off)
+    anchor = np.repeat(s_pos, counts)
+    delta = sims_flat - anchor
+    probs = np.exp(-a * delta * delta)
+    keep = uniforms < probs
+    # Fallback: a query whose candidates were all rejected keeps its
+    # single most probable candidate (first index on ties).
+    csum = np.concatenate([[0], np.cumsum(keep)])
+    kept_per_q = csum[off[1:]] - csum[off[:-1]]
+    for i in np.nonzero((kept_per_q == 0) & (counts > 0))[0]:
+        s, e = off[i], off[i + 1]
+        keep[s + int(np.argmax(probs[s:e]))] = True
+    return probs, keep
+
+
+def mine_mask(
+    sims_flat: NDArray[np.float64],
+    s_pos: NDArray[np.float64],
+    off: NDArray[np.int64],
+    a: float,
+    uniforms: NDArray[np.float64],
+) -> tuple[NDArray[np.float64], NDArray[np.bool_]]:
+    """Bernoulli retention mask over ragged per-query candidate similarities.
+
+    Candidate m of query i is kept when uniforms[m] < exp(-a * (sims[m] -
+    s_pos[i])**2). A query whose candidates were all rejected keeps the
+    single candidate with the largest probability (first on ties), so the
+    retained set is nonempty whenever the candidate set is.
+    """
+    if a < 0.0:
+        raise ValueError(f"a must be nonnegative, got {a}")
+    sims_flat = np.ascontiguousarray(sims_flat, dtype=np.float64)
+    s_pos = np.ascontiguousarray(s_pos, dtype=np.float64)
+    off = np.ascontiguousarray(off, dtype=np.int64)
+    uniforms = np.ascontiguousarray(uniforms, dtype=np.float64)
+    if sims_flat.shape != uniforms.shape:
+        raise ValueError("uniforms must align with sims_flat")
+    return _mine_mask_numpy(sims_flat, s_pos, off, float(a), uniforms)
 
 
 def mine_negatives(
@@ -90,35 +123,6 @@ def mine_negatives(
     uniforms = rng.uniform(len(sims))
     probs, keep = mine_mask(sims, np.array([s_pos]), off, cfg.a, uniforms)
     return MinedNegativeSet(query_id, np.nonzero(keep)[0].astype(np.int64), probs)
-
-
-def filter_negative_sets(
-    candidate_sets: Sequence[np.ndarray],
-    q1: np.ndarray,
-    s_pos: np.ndarray,
-    cfg: MiningConfig,
-    rng: RngState,
-) -> list[MinedNegativeSet]:
-    """Independent per-query mining over a batch of candidate sets.
-
-    Query i draws from the substream rng.split("q", i), so the outcome does
-    not depend on evaluation order. The anchor similarity s_pos[i] is the
-    query's similarity to its own augmented view, for hard and soft
-    candidate pools alike.
-    """
-    q1 = np.atleast_2d(np.asarray(q1, dtype=np.float64))
-    s_pos = np.asarray(s_pos, dtype=np.float64).reshape(-1)
-    if len(candidate_sets) != q1.shape[0] or len(candidate_sets) != s_pos.shape[0]:
-        raise ValueError(
-            f"arity mismatch: {len(candidate_sets)} candidate sets, "
-            f"{q1.shape[0]} queries, {s_pos.shape[0]} anchors"
-        )
-    out = []
-    for i, cand in enumerate(candidate_sets):
-        out.append(
-            mine_negatives(q1[i], float(s_pos[i]), cand, cfg, rng.split("q", i), query_id=i)
-        )
-    return out
 
 
 def filter_csr(

@@ -25,7 +25,6 @@ from typing import Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from ._kernels import nce_loss_grad
 from .memory_bank import MinedNeighborSet
 from .numerics import check_unit_rows, softmax
 
@@ -51,14 +50,6 @@ class LossOutput:
     grad_q: NDArray[np.float64]
     neg_counts: NDArray[np.int64]
     per_query: NDArray[np.float64]
-
-    def scaled(self, c: float) -> "LossOutput":
-        return LossOutput(
-            value=c * self.value,
-            grad_q=c * self.grad_q,
-            neg_counts=self.neg_counts.copy(),
-            per_query=c * self.per_query,
-        )
 
 
 def soft_weights(
@@ -116,6 +107,102 @@ def apply_weight_strategy(w: WeightVector, strategy: str, k: int) -> WeightVecto
     elif strategy == "V3":
         weights[survivors] = 1.0
     return WeightVector(weights=weights, strategy=strategy)
+
+
+# Weighted NCE loss + gradient, ragged over both positives and negatives.
+#
+# Layout: query i owns positives pos_flat[pos_off[i]:pos_off[i+1]] with
+# weights w_flat over the same span, and negatives cands[neg_idx[m]] for
+# m in [neg_off[i], neg_off[i+1]). The per-query loss is
+#     sum_j w_j * (logsumexp(all logits / t) - s_pos_j / t)
+# where "all logits" spans that query's positives and negatives together.
+# The gradient is with respect to the raw (pre-normalization) query row;
+# weights, positives, and candidates are constants.
+
+
+def _nce_loss_grad_numpy(q_raw, pos_flat, w_flat, pos_off, cands, neg_idx, neg_off, t):
+    nq, dim = q_raw.shape
+    loss = np.zeros(nq, dtype=np.float64)
+    grad = np.zeros_like(q_raw)
+    for i in range(nq):
+        u = q_raw[i]
+        nrm = float(np.sqrt(u @ u))
+        if nrm == 0.0:
+            continue
+        q = u / nrm
+        ps, pe = pos_off[i], pos_off[i + 1]
+        ns, ne = neg_off[i], neg_off[i + 1]
+        if pe == ps:
+            continue
+        pos = pos_flat[ps:pe]
+        w = w_flat[ps:pe]
+        idx = neg_idx[ns:ne]
+        sp = pos @ q
+        sn = cands[idx] @ q if ne > ns else np.empty(0)
+        logits = np.concatenate([sp, sn]) / t
+        m = logits.max()
+        e = np.exp(logits - m)
+        z = e.sum()
+        lse = m + np.log(z)
+        wsum = w.sum()
+        loss[i] = float(np.dot(w, lse - sp / t))
+        # d(loss)/d(similarity) for every member of the denominator.
+        dlds = (wsum / t) * (e / z)
+        dlds[: pe - ps] -= w / t
+        g = dlds[: pe - ps] @ pos
+        if ne > ns:
+            g = g + dlds[pe - ps :] @ cands[idx]
+        grad[i] = (g - (q @ g) * q) / nrm
+    return loss, grad
+
+
+def _as_f64(x):
+    return np.ascontiguousarray(x, dtype=np.float64)
+
+
+def _as_i64(x):
+    return np.ascontiguousarray(x, dtype=np.int64)
+
+
+def nce_loss_grad(
+    q_raw: NDArray[np.float64],
+    pos_flat: NDArray[np.float64],
+    w_flat: NDArray[np.float64],
+    pos_off: NDArray[np.int64],
+    cands: NDArray[np.float64],
+    neg_idx: NDArray[np.int64],
+    neg_off: NDArray[np.int64],
+    t: float,
+) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """Per-query weighted NCE loss values and gradients w.r.t. raw queries.
+
+    Args:
+        q_raw: (B, d) query rows, normalized inside the kernel.
+        pos_flat: flattened positive embeddings, unit rows.
+        w_flat: weight per positive, aligned with pos_flat.
+        pos_off: (B+1,) segment offsets into pos_flat / w_flat.
+        cands: (M, d) candidate matrix holding every potential negative.
+        neg_idx: flat candidate row indices, one per retained negative.
+        neg_off: (B+1,) segment offsets into neg_idx.
+        t: temperature, > 0.
+
+    Returns:
+        (loss_per_query, grad_raw) with shapes (B,) and (B, d).
+    """
+    if t <= 0.0:
+        raise ValueError(f"temperature must be positive, got {t}")
+    q_raw = _as_f64(q_raw)
+    pos_flat = _as_f64(pos_flat)
+    w_flat = _as_f64(w_flat)
+    cands = _as_f64(cands)
+    pos_off = _as_i64(pos_off)
+    neg_idx = _as_i64(neg_idx)
+    neg_off = _as_i64(neg_off)
+    if cands.ndim != 2:
+        cands = cands.reshape(0, q_raw.shape[1])
+    return _nce_loss_grad_numpy(
+        q_raw, pos_flat, w_flat, pos_off, cands, neg_idx, neg_off, float(t)
+    )
 
 
 def _pack_negatives(
@@ -259,9 +346,3 @@ def psm_loss(soft: LossOutput, hard: LossOutput, lam: float) -> LossOutput:
         per_query=soft.per_query + lam * hard.per_query,
     )
 
-
-def infonce_loss(
-    q: np.ndarray, pos: np.ndarray, negatives: Sequence[np.ndarray], t: float
-) -> LossOutput:
-    """Plain InfoNCE: hard_loss with unit positive weight (baseline mode)."""
-    return hard_loss(q, pos, negatives, t, w0=1.0)

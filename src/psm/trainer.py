@@ -19,7 +19,7 @@ by purpose, epoch, and step, never shared across uses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -141,7 +141,7 @@ class RunArtifacts:
 class _StepEval:
     """Losses and diagnostics of one forward evaluation (no state change)."""
 
-    total: LossOutput
+    loss: float
     soft_value: float
     hard_value: float
     grads_per_pass: list[tuple[dict, NDArray[np.float64]]]
@@ -194,14 +194,49 @@ def _zero_loss(bsz: int, dim: int) -> LossOutput:
     )
 
 
-def _filtered_csr(sims_full, idx, off, s_pos, cfg, rng):
-    """Apply the Bernoulli mask to one candidate pool."""
-    flat = sims_full[np.repeat(np.arange(off.shape[0] - 1), np.diff(off)), idx]
-    _, keep = filter_csr(flat, s_pos, off, MiningConfig(a=cfg.a), rng)
-    csum = np.concatenate([[0], np.cumsum(keep)])
-    new_off = np.zeros_like(off)
-    new_off[1:] = csum[off[1:]]
-    return idx[keep], new_off
+def _pool_loss(
+    cfg: TrainConfig,
+    q: np.ndarray,
+    view: np.ndarray,
+    pos: np.ndarray,
+    w: np.ndarray,
+    cands: np.ndarray,
+    csr: tuple[np.ndarray, np.ndarray],
+    rng: RngState,
+    *tags: int | str,
+) -> LossOutput:
+    """Weighted NCE of q against one candidate pool, Bernoulli-filtered when mining.
+
+    Each query owns ``len(w) // B`` consecutive rows of ``pos``; ``csr``
+    lists its candidate rows. The mask is anchored at the similarity of q
+    to ``view`` and draws from ``rng.split(*tags)``.
+    """
+    bsz = q.shape[0]
+    idx, off = csr
+    if cfg.use_pnsm:
+        s_pos = np.clip(np.einsum("bd,bd->b", q, view), -1.0, 1.0)
+        sims = np.clip(q @ cands.T, -1.0, 1.0)
+        flat = sims[np.repeat(np.arange(bsz), np.diff(off)), idx]
+        _, keep = filter_csr(flat, s_pos, off, MiningConfig(a=cfg.a), rng.split(*tags))
+        csum = np.concatenate([[0], np.cumsum(keep)])
+        new_off = np.zeros_like(off)
+        new_off[1:] = csum[off[1:]]
+        idx, off = idx[keep], new_off
+    pos_off = np.arange(bsz + 1, dtype=np.int64) * (len(w) // bsz)
+    return weighted_nce_csr(q, pos, w, pos_off, cands, idx, off, cfg.t)
+
+
+def _mean_of_passes(a: _StepEval, b: _StepEval) -> _StepEval:
+    """Average two directional passes; each backpropagates half its gradient."""
+    return _StepEval(
+        loss=0.5 * (a.loss + b.loss),
+        soft_value=0.5 * (a.soft_value + b.soft_value),
+        hard_value=0.5 * (a.hard_value + b.hard_value),
+        grads_per_pass=[(c, 0.5 * g) for c, g in a.grads_per_pass + b.grads_per_pass],
+        purity_top1=a.purity_top1,
+        purity_topk=a.purity_topk,
+        retained_mean=0.5 * (a.retained_mean + b.retained_mean),
+    )
 
 
 def _psm_pass(
@@ -213,7 +248,7 @@ def _psm_pass(
     cands_hard: np.ndarray,
     labels: np.ndarray,
     rng_pnsm: RngState,
-):
+) -> _StepEval:
     """One directional pass: query view against target positives."""
     bsz = x_query.shape[0]
     z1, q1, cache = forward_online(params, x_query, train=True)
@@ -234,48 +269,20 @@ def _psm_pass(
                 WeightVector(weights[i]), cfg.strategy, k_eff
             ).weights
 
-    s_pos = np.clip(np.einsum("bd,bd->b", q1, pos_view), -1.0, 1.0)
-
     hard = _zero_loss(bsz, dim)
     soft = _zero_loss(bsz, dim)
     retained = 0.0
-
     if cfg.use_hard:
-        idx, off = _hard_csr(bsz)
-        if cfg.use_pnsm:
-            sims_h = np.clip(q1 @ cands_hard.T, -1.0, 1.0)
-            idx, off = _filtered_csr(
-                sims_h, idx, off, s_pos, cfg, rng_pnsm.split("hard")
-            )
-        hard = weighted_nce_csr(
-            q1,
-            pos_view,
-            np.ones(bsz),
-            np.arange(bsz + 1, dtype=np.int64),
-            cands_hard,
-            idx,
-            off,
-            cfg.t,
+        hard = _pool_loss(
+            cfg, q1, pos_view, pos_view, np.ones(bsz), cands_hard, _hard_csr(bsz),
+            rng_pnsm, "hard",
         )
         retained += float(hard.neg_counts.mean())
-
     if cfg.use_soft:
         cands_soft = members.reshape(bsz * p_count, dim)
-        idx, off = _soft_csr(bsz, p_count)
-        if cfg.use_pnsm:
-            sims_s = np.clip(q1 @ cands_soft.T, -1.0, 1.0)
-            idx, off = _filtered_csr(
-                sims_s, idx, off, s_pos, cfg, rng_pnsm.split("soft")
-            )
-        soft = weighted_nce_csr(
-            q1,
-            cands_soft,
-            weights.reshape(-1),
-            np.arange(bsz + 1, dtype=np.int64) * p_count,
-            cands_soft,
-            idx,
-            off,
-            cfg.t,
+        soft = _pool_loss(
+            cfg, q1, pos_view, cands_soft, weights.reshape(-1), cands_soft,
+            _soft_csr(bsz, p_count), rng_pnsm, "soft",
         )
         retained += float(soft.neg_counts.mean())
 
@@ -287,7 +294,15 @@ def _psm_pass(
         purity_top1 = float(np.mean(mined[:, 0] == labels))
         purity_topk = float(np.mean(mined == labels[:, None]))
 
-    return total, soft.value, hard.value, cache, purity_top1, purity_topk, retained
+    return _StepEval(
+        loss=total.value,
+        soft_value=soft.value,
+        hard_value=hard.value,
+        grads_per_pass=[(cache, total.grad_q)],
+        purity_top1=purity_top1,
+        purity_topk=purity_topk,
+        retained_mean=retained,
+    )
 
 
 def _evaluate_psm_step(
@@ -307,37 +322,14 @@ def _evaluate_psm_step(
     z2b = forward_target(target, x2)
     cands_hard = np.concatenate([z2a, z2b], axis=0)
     rng_pnsm = root.split("pnsm", epoch, step)
-
-    total, soft_v, hard_v, cache, p1, pk, retained = _psm_pass(
-        cfg, params, bank, x1, z2b, cands_hard, labels, rng_pnsm
-    )
-    passes = [(cache, total.grad_q)]
+    eval_ = _psm_pass(cfg, params, bank, x1, z2b, cands_hard, labels, rng_pnsm)
     if cfg.symmetrize:
-        total_b, soft_b, hard_b, cache_b, _, _, retained_b = _psm_pass(
-            cfg, params, bank, x2, z2a, cands_hard, labels, rng_pnsm.split("pass", 1)
+        eval_ = _mean_of_passes(
+            eval_,
+            _psm_pass(
+                cfg, params, bank, x2, z2a, cands_hard, labels, rng_pnsm.split("pass", 1)
+            ),
         )
-        passes = [(cache, 0.5 * total.grad_q), (cache_b, 0.5 * total_b.grad_q)]
-        total = LossOutput(
-            value=0.5 * (total.value + total_b.value),
-            grad_q=np.zeros_like(total.grad_q),
-            neg_counts=total.neg_counts + total_b.neg_counts,
-            per_query=0.5 * (total.per_query + total_b.per_query),
-        )
-        soft_v = 0.5 * (soft_v + soft_b)
-        hard_v = 0.5 * (hard_v + hard_b)
-        retained = 0.5 * (retained + retained_b)
-
-    if not np.isfinite(total.value):
-        raise ValueError(f"non-finite loss at epoch {epoch} step {step}")
-    eval_ = _StepEval(
-        total=total,
-        soft_value=soft_v,
-        hard_value=hard_v,
-        grads_per_pass=[(c, g) for c, g in passes],
-        purity_top1=p1,
-        purity_topk=pk,
-        retained_mean=retained,
-    )
     return eval_, z2b
 
 
@@ -350,53 +342,32 @@ def _evaluate_baseline_step(
     step: int,
     root: RngState,
 ) -> _StepEval:
+    """Symmetric two-view InfoNCE over in-batch negatives, shared encoder."""
     z1a, _, cache_a = forward_online(params, x1, train=True)
     z1b, _, cache_b = forward_online(params, x2, train=True)
-    bsz, dim = z1a.shape
+    bsz = z1a.shape[0]
     cands = np.concatenate([z1a, z1b], axis=0)
-    idx0, off0 = _hard_csr(bsz)
     rng_pnsm = root.split("pnsm", epoch, step)
-    ones = np.ones(bsz)
-    pos_off = np.arange(bsz + 1, dtype=np.int64)
-
-    losses = []
-    retained = 0.0
-    for pass_no, (q, pos) in enumerate(((z1a, z1b), (z1b, z1a))):
-        idx, off = idx0, off0
-        if cfg.use_pnsm:
-            s_pos = np.clip(np.einsum("bd,bd->b", q, pos), -1.0, 1.0)
-            sims = np.clip(q @ cands.T, -1.0, 1.0)
-            idx, off = _filtered_csr(
-                sims, idx0, off0, s_pos, cfg, rng_pnsm.split("pass", pass_no)
+    passes = []
+    for pass_no, (q, pos, cache) in enumerate(((z1a, z1b, cache_a), (z1b, z1a, cache_b))):
+        out = _pool_loss(
+            cfg, q, pos, pos, np.ones(bsz), cands, _hard_csr(bsz), rng_pnsm, "pass", pass_no
+        )
+        passes.append(
+            _StepEval(
+                loss=out.value,
+                soft_value=float("nan"),
+                hard_value=float("nan"),
+                grads_per_pass=[(cache, out.grad_q)],
+                purity_top1=None,
+                purity_topk=None,
+                retained_mean=0.0 + float(out.neg_counts.mean()),
             )
-        out = weighted_nce_csr(q, pos, ones, pos_off, cands, idx, off, cfg.t)
-        losses.append(out)
-        retained += float(out.neg_counts.mean())
-
-    value = 0.5 * (losses[0].value + losses[1].value)
-    if not np.isfinite(value):
-        raise ValueError(f"non-finite loss at epoch {epoch} step {step}")
-    grads_per_pass = [
-        (cache_a, 0.5 * losses[0].grad_q),
-        (cache_b, 0.5 * losses[1].grad_q),
-    ]
-    return _StepEval(
-        total=LossOutput(
-            value=value,
-            grad_q=np.zeros((bsz, dim)),
-            neg_counts=losses[0].neg_counts + losses[1].neg_counts,
-            per_query=0.5 * (losses[0].per_query + losses[1].per_query),
-        ),
-        soft_value=float("nan"),
-        hard_value=float("nan"),
-        grads_per_pass=grads_per_pass,
-        purity_top1=None,
-        purity_topk=None,
-        retained_mean=0.5 * retained,
-    )
+        )
+    return _mean_of_passes(*passes)
 
 
-def _accumulate_grads(cfg: TrainConfig, params, eval_: _StepEval, baseline: bool):
+def _accumulate_grads(params, eval_: _StepEval, baseline: bool):
     grads: dict[str, np.ndarray] | None = None
     for cache, g in eval_.grads_per_pass:
         kw = {"grad_z1": g} if baseline else {"grad_q1": g}
@@ -428,28 +399,7 @@ def pretrain(
     final one, and only when a test set is supplied.
     """
     cfg.validate()
-    return _pretrain_impl(cfg, train_ds, test_ds, baseline=cfg.baseline)
-
-
-def pretrain_baseline(
-    cfg: TrainConfig,
-    train_ds: Dataset,
-    test_ds: Dataset | None = None,
-    use_pnsm: bool | None = None,
-) -> RunArtifacts:
-    """Symmetric InfoNCE baseline, optionally with negative mining."""
-    cfg = replace(
-        cfg,
-        baseline=True,
-        use_pnsm=cfg.use_pnsm if use_pnsm is None else use_pnsm,
-    )
-    cfg.validate()
-    return _pretrain_impl(cfg, train_ds, test_ds, baseline=True)
-
-
-def _pretrain_impl(
-    cfg: TrainConfig, train_ds: Dataset, test_ds: Dataset | None, baseline: bool
-) -> RunArtifacts:
+    baseline = cfg.baseline
     steps_per_epoch = train_ds.n // cfg.batch_size
     if cfg.epochs > 0 and steps_per_epoch == 0:
         raise ValueError(
@@ -501,7 +451,9 @@ def _pretrain_impl(
                 ev, enqueue_view = _evaluate_psm_step(
                     cfg, params, target, bank, x1, x2, y, epoch, step, root
                 )
-            grads = _accumulate_grads(cfg, params, ev, baseline)
+            if not np.isfinite(ev.loss):
+                raise ValueError(f"non-finite loss at epoch {epoch} step {step}")
+            grads = _accumulate_grads(params, ev, baseline)
             for cache, _ in ev.grads_per_pass:
                 commit_bn_stats(params, cache)
             lr = lr_at(opt, (epoch - 1) + step / steps_per_epoch)
@@ -509,7 +461,7 @@ def _pretrain_impl(
             if not baseline:
                 ema_update(target, params, cfg.ema_momentum)
                 bank.enqueue_batch(enqueue_view, y)
-            acc["total"] += ev.total.value
+            acc["total"] += ev.loss
             acc["soft"] += ev.soft_value
             acc["hard"] += ev.hard_value
             acc["retained"] += ev.retained_mean

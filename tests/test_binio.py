@@ -6,7 +6,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from psm._binio import FormatError
-from psm.data import gen_clusters, load_dataset, save_dataset
 from psm.memory_bank import MemoryBank, load_bank, save_bank
 from psm.network import (
     NetworkConfig,
@@ -25,10 +24,6 @@ def _write_bank(path):
     save_bank(bank, path)
 
 
-def _write_dataset(path):
-    save_dataset(gen_clusters(2, 3, 4, 4.0, seed=2), path)
-
-
 def _write_checkpoint(path):
     cfg = NetworkConfig(in_dim=3, encoder=(4, 2), projector=(3,), predictor=(3,))
     params = init_params(cfg, RngState(3))
@@ -37,7 +32,6 @@ def _write_checkpoint(path):
 
 FORMATS = {
     "bank": (_write_bank, load_bank),
-    "dataset": (_write_dataset, load_dataset),
     "checkpoint": (_write_checkpoint, load_checkpoint),
 }
 

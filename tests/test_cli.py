@@ -478,6 +478,25 @@ class TestMine:
         assert code == 2
         assert "truncated file" in capsys.readouterr().err
 
+    def test_bank_header_claiming_huge_capacity_allocates_nothing(
+        self, tmp_path, capsys
+    ):
+        bank_path = tmp_path / "huge.psmb"
+        # magic, version, capacity 2**40, count 0, dim 64, no labels: the
+        # header alone, 33 bytes; storage for 2**40 rows would be 512 TiB
+        bank_path.write_bytes(b"PSMB" + struct.pack("<IQQQB", 1, 2**40, 0, 64, 0))
+        assert len(bank_path.read_bytes()) == 33
+        query_path = tmp_path / "q.csv"
+        queries = Dataset(RngState(2).normal((2, 64)), np.zeros(2, dtype=np.int64))
+        save_csv(queries, query_path)
+        code = cli.main(["mine", "--bank", str(bank_path), "--query", str(query_path)])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        assert captured.out.splitlines() == [
+            "query=0 indices=[] sims=[]",
+            "query=1 indices=[] sims=[]",
+        ]
+
     def test_corrupt_bank_is_data_error(self, tmp_path, bank_and_queries):
         _, query_path = bank_and_queries
         bad = tmp_path / "bad.psmb"

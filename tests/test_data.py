@@ -1,16 +1,13 @@
 import numpy as np
 import pytest
 
-from psm._binio import FormatError
 from psm.data import (
     AugmentPolicy,
     DataFormatError,
     Dataset,
     gen_clusters,
     load_csv,
-    load_dataset,
     save_csv,
-    save_dataset,
     split_dataset,
     two_views,
 )
@@ -182,31 +179,6 @@ class TestCsv:
         path.write_text("label,f0,f1\n")
         with pytest.raises(DataFormatError, match="no data rows"):
             load_csv(path)
-
-
-class TestBinaryDataset:
-    def test_round_trip_is_exact(self, tmp_path):
-        ds = gen_clusters(3, 7, 5, 4.0, seed=12)
-        path = tmp_path / "d.psmd"
-        save_dataset(ds, path)
-        back = load_dataset(path, split="test")
-        np.testing.assert_array_equal(back.features, ds.features)
-        np.testing.assert_array_equal(back.labels, ds.labels)
-        assert back.split == "test"
-
-    def test_truncated_file_rejected(self, tmp_path):
-        ds = gen_clusters(2, 4, 3, 4.0, seed=13)
-        path = tmp_path / "d.psmd"
-        save_dataset(ds, path)
-        path.write_bytes(path.read_bytes()[:-8])
-        with pytest.raises(FormatError):
-            load_dataset(path)
-
-    def test_wrong_magic_rejected(self, tmp_path):
-        path = tmp_path / "d.psmd"
-        path.write_bytes(b"XXXX" + b"\x00" * 64)
-        with pytest.raises(FormatError):
-            load_dataset(path)
 
 
 class TestSplitDataset:

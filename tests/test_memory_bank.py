@@ -207,3 +207,17 @@ class TestBankIO:
         path.write_bytes(b"NOPE" + b"\x00" * 64)
         with pytest.raises(FormatError):
             load_bank(path)
+
+    def test_huge_capacity_round_trips_without_allocating_it(self, tmp_path):
+        rows = _unit_rows(RngState(6), 3, 4)
+        bank = MemoryBank(2**40, 4)
+        bank.enqueue_batch(rows)
+        path = tmp_path / "bank.psmb"
+        save_bank(bank, path)
+        back = load_bank(path)
+        assert back.capacity == 2**40 and len(back) == 3
+        assert back._buf.nbytes <= 3 * 4 * 8
+        np.testing.assert_array_equal(back.entries(), rows)
+        assert query_topk(back, rows[1], 1).bank_indices.tolist() == [1]
+        save_bank(back, path)
+        assert load_bank(path).capacity == 2**40

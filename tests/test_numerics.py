@@ -5,11 +5,8 @@ from hypothesis import strategies as st
 
 from psm.numerics import (
     RngState,
-    bernoulli,
     check_unit_rows,
-    cosine_similarity,
     l2_normalize_rows,
-    similarity_matrix,
     softmax,
     top_k_indices,
 )
@@ -57,49 +54,6 @@ class TestNormalize:
         m = RngState(4).normal((50, 7)) * np.logspace(-90, 90, 50)[:, None]
         want = m / np.sqrt(np.einsum("ij,ij->i", m, m))[:, None]
         np.testing.assert_array_equal(l2_normalize_rows(m), want)
-
-
-class TestCosine:
-    def test_identical(self):
-        assert cosine_similarity(np.array([1.0, 0.0]), np.array([1.0, 0.0])) == 1.0
-
-    def test_orthogonal(self):
-        assert cosine_similarity(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
-
-    def test_dot_product_oracle(self):
-        got = cosine_similarity(np.array([1.0, 0.0]), np.array([0.6, 0.8]))
-        assert got == pytest.approx(0.6, abs=1e-15)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            cosine_similarity(np.array([1.0, 0.0]), np.array([1.0, 0.0, 0.0]))
-
-    def test_clamped(self):
-        v = l2_normalize_rows(np.array([[1.0, 1e-8]]))[0]
-        assert abs(cosine_similarity(v, v)) <= 1.0
-
-
-class TestSimilarityMatrix:
-    def test_identity_rows(self):
-        eye = np.eye(2)
-        np.testing.assert_array_equal(similarity_matrix(eye, eye), np.eye(2))
-
-    def test_matches_per_pair_calls(self):
-        rng = RngState(3)
-        a = l2_normalize_rows(rng.normal((1, 5)))
-        b = l2_normalize_rows(rng.normal((3, 5)))
-        got = similarity_matrix(a, b)
-        assert got.shape == (1, 3)
-        for j in range(3):
-            assert got[0, j] == pytest.approx(cosine_similarity(a[0], b[j]), abs=1e-12)
-
-    def test_empty_left(self):
-        b = np.eye(3)
-        assert similarity_matrix(np.zeros((0, 3)), b).shape == (0, 3)
-
-    def test_dim_mismatch(self):
-        with pytest.raises(ValueError):
-            similarity_matrix(np.eye(2), np.eye(3))
 
 
 class TestSoftmax:
@@ -234,13 +188,6 @@ class TestRngState:
     def test_uniform_range(self):
         u = RngState(3).uniform(1000)
         assert np.all((u >= 0.0) & (u < 1.0))
-
-    def test_bernoulli_endpoints(self):
-        r = RngState(1)
-        assert bernoulli(r, 1.0) is True
-        assert bernoulli(r, 0.0) is False
-        with pytest.raises(ValueError):
-            bernoulli(r, 1.5)
 
     @settings(max_examples=25)
     @given(st.integers(0, 2**62), st.lists(st.integers(0, 1000), min_size=1, max_size=4))

@@ -3,10 +3,9 @@ import pytest
 
 from psm.numerics import RngState, l2_normalize_rows
 from psm.pnsm import (
-    FALLBACK_ARGMAX,
     MiningConfig,
     filter_csr,
-    filter_negative_sets,
+    mine_mask,
     mine_negatives,
     mining_probability,
 )
@@ -96,53 +95,11 @@ class TestMineNegatives:
 class TestMiningConfig:
     def test_defaults(self):
         cfg = MiningConfig()
-        assert cfg.a == 0.5 and cfg.fallback == FALLBACK_ARGMAX
+        assert cfg.a == 0.5
 
     def test_negative_a_rejected(self):
         with pytest.raises(ValueError):
             MiningConfig(a=-0.1)
-
-    def test_unknown_fallback_rejected(self):
-        with pytest.raises(ValueError):
-            MiningConfig(fallback="resample")
-
-
-class TestFilterNegativeSets:
-    def test_per_query_streams_are_position_keyed(self):
-        rng = RngState(3)
-        q1 = l2_normalize_rows(rng.normal((3, 4)))
-        cands = [l2_normalize_rows(rng.normal((6, 4))) for _ in range(3)]
-        s_pos = np.array([0.5, 0.2, 0.8])
-        cfg = MiningConfig(a=3.0)
-        base = filter_negative_sets(cands, q1, s_pos, cfg, RngState(9))
-        # changing query 1's candidates must not disturb queries 0 and 2
-        cands2 = [cands[0], l2_normalize_rows(RngState(4).normal((2, 4))), cands[2]]
-        redo = filter_negative_sets(cands2, q1, s_pos, cfg, RngState(9))
-        np.testing.assert_array_equal(base[0].kept, redo[0].kept)
-        np.testing.assert_array_equal(base[2].kept, redo[2].kept)
-
-    def test_query_ids_assigned(self):
-        rng = RngState(5)
-        q1 = l2_normalize_rows(rng.normal((2, 3)))
-        cands = [l2_normalize_rows(rng.normal((4, 3))) for _ in range(2)]
-        out = filter_negative_sets(cands, q1, np.array([0.1, 0.2]), MiningConfig(), RngState(1))
-        assert [o.query_id for o in out] == [0, 1]
-
-    def test_arity_mismatch(self):
-        with pytest.raises(ValueError):
-            filter_negative_sets(
-                [np.zeros((0, 3))], np.eye(3), np.zeros(3), MiningConfig(), RngState(0)
-            )
-
-    def test_nonempty_sets_guaranteed(self):
-        rng = RngState(8)
-        q1 = l2_normalize_rows(rng.normal((4, 3)))
-        cands = [l2_normalize_rows(rng.normal((5, 3))) for _ in range(4)]
-        out = filter_negative_sets(
-            cands, q1, np.ones(4), MiningConfig(a=100.0), RngState(2)
-        )
-        assert all(o.kept.size >= 1 for o in out)
-
 
 class TestFilterCsr:
     def test_a_zero_keeps_everything(self):
@@ -169,3 +126,10 @@ class TestFilterCsr:
             sims, np.array([0.1, 0.5]), off, MiningConfig(a=1.0), RngState(0)
         )
         assert keep[0]  # only candidate of query 1 has zero gap
+
+
+class TestMineMask:
+    def test_misaligned_uniforms_rejected(self):
+        off = np.array([0, 2], dtype=np.int64)
+        with pytest.raises(ValueError):
+            mine_mask(np.zeros(2), np.zeros(1), off, 1.0, np.zeros(3))

@@ -13,7 +13,6 @@ from psm.trainer import (
     _accumulate_grads,
     _evaluate_psm_step,
     pretrain,
-    pretrain_baseline,
     run_ablation_suite,
     write_metrics_csv,
 )
@@ -135,11 +134,11 @@ class TestSwapInvariance:
         ev_b, _ = _evaluate_psm_step(
             cfg, params, target, bank, x2, x1, labels, 1, 0, RngState(9)
         )
-        assert ev_a.total.value == pytest.approx(ev_b.total.value, abs=1e-9)
+        assert ev_a.loss == pytest.approx(ev_b.loss, abs=1e-9)
         assert ev_a.soft_value == pytest.approx(ev_b.soft_value, abs=1e-9)
         assert ev_a.hard_value == pytest.approx(ev_b.hard_value, abs=1e-9)
-        ga = _accumulate_grads(cfg, params, ev_a, baseline=False)
-        gb = _accumulate_grads(cfg, params, ev_b, baseline=False)
+        ga = _accumulate_grads(params, ev_a, baseline=False)
+        gb = _accumulate_grads(params, ev_b, baseline=False)
         for key in ga:
             np.testing.assert_allclose(ga[key], gb[key], rtol=1e-7, atol=1e-10)
 
@@ -224,10 +223,14 @@ class TestLossComposition:
         assert art.metrics[1]["neg_retained_mean"] == 120.0
 
 
+def _baseline_cfg(**over):
+    return dataclasses.replace(_mini_cfg(**over), baseline=True)
+
+
 class TestBaseline:
     def test_soft_hard_columns_are_empty(self, mini_data):
         train, test = mini_data
-        art = pretrain_baseline(_mini_cfg(epochs=1), train, test)
+        art = pretrain(_baseline_cfg(epochs=1), train, test)
         row = art.metrics[0]
         assert row["loss_soft"] is None and row["loss_hard"] is None
         assert row["purity_top1"] is None
@@ -235,8 +238,8 @@ class TestBaseline:
 
     def test_zero_width_filter_equals_no_filter(self, mini_data):
         train, _ = mini_data
-        keep_all = pretrain_baseline(_mini_cfg(a=0.0, use_pnsm=True), train)
-        no_pnsm = pretrain_baseline(_mini_cfg(), train, use_pnsm=False)
+        keep_all = pretrain(_baseline_cfg(a=0.0, use_pnsm=True), train)
+        no_pnsm = pretrain(_baseline_cfg(use_pnsm=False), train)
         assert keep_all.metrics == no_pnsm.metrics
         for (_, ta), (_, tb) in zip(
             iter_trainable(keep_all.params), iter_trainable(no_pnsm.params)
@@ -245,8 +248,8 @@ class TestBaseline:
 
     def test_mining_changes_the_baseline(self, mini_data):
         train, _ = mini_data
-        mined = pretrain_baseline(_mini_cfg(a=2.0), train)
-        plain = pretrain_baseline(_mini_cfg(), train, use_pnsm=False)
+        mined = pretrain(_baseline_cfg(a=2.0), train)
+        plain = pretrain(_baseline_cfg(use_pnsm=False), train)
         assert (
             mined.metrics[0]["neg_retained_mean"]
             < plain.metrics[0]["neg_retained_mean"]
