@@ -20,8 +20,9 @@ from .memory_bank import MemoryBank
 from .numerics import check_unit_rows, top_k_indices
 
 # Test rows per block of knn_probe's top-k selection and vote, which bounds
-# the selection's scratch arrays whatever the test-set size.
-_KNN_BLOCK = 128
+# the selection's scratch arrays whatever the test-set size. The block size
+# does not change any answer: it splits only the selection, not the product.
+_KNN_BLOCK = 32
 
 
 @dataclass

@@ -127,34 +127,56 @@ def iter_trainable(params: NetworkParams):
 
 def _head_forward(cfg, layers, x, head, train):
     """Run one head; returns (output, per-layer cache or None)."""
-    cache = [] if train else None
+    if not train:
+        return _head_forward_eval(cfg, layers, x, head), None
+    cache = []
     h = x
     last = len(layers) - 1
     for li, layer in enumerate(layers):
         a = h @ layer.w.T + layer.b
         if layer.gamma is not None:
-            if train:
-                mu = a.mean(axis=0)
-                var = a.var(axis=0)
-                std = np.sqrt(var + cfg.bn_eps)
-                xhat = (a - mu) / std
-            else:
-                std = np.sqrt(layer.run_var + cfg.bn_eps)
-                xhat = (a - layer.run_mean) / std
-                mu = var = None
+            mu = a.mean(axis=0)
+            var = a.var(axis=0)
+            std = np.sqrt(var + cfg.bn_eps)
+            xhat = (a - mu) / std
             y = layer.gamma * xhat + layer.beta
         else:
             xhat = mu = var = std = None
             y = a
         out = np.maximum(y, 0.0) if li != last else y
-        if not np.all(np.isfinite(out)):
-            raise ValueError(f"non-finite activations in {head} layer {li}")
-        if train:
-            cache.append(
-                {"x": h, "xhat": xhat, "mu": mu, "var": var, "std": std, "y": y}
-            )
+        _check_finite(out, head, li)
+        cache.append({"x": h, "xhat": xhat, "mu": mu, "var": var, "std": std, "y": y})
         h = out
     return h, cache
+
+
+def _head_forward_eval(cfg, layers, x, head):
+    """Evaluation-mode head with running-stat batch norm, one buffer per layer.
+
+    Each step runs in place on the layer's product, in the same operation
+    order as the training path, so the result is bit-identical to the
+    out-of-place form while the peak holds one activation matrix per layer.
+    """
+    h = x
+    last = len(layers) - 1
+    for li, layer in enumerate(layers):
+        a = h @ layer.w.T
+        a += layer.b
+        if layer.gamma is not None:
+            a -= layer.run_mean
+            a /= np.sqrt(layer.run_var + cfg.bn_eps)
+            a *= layer.gamma
+            a += layer.beta
+        if li != last:
+            np.maximum(a, 0.0, out=a)
+        _check_finite(a, head, li)
+        h = a
+    return h
+
+
+def _check_finite(out, head, li):
+    if not np.all(np.isfinite(out)):
+        raise ValueError(f"non-finite activations in {head} layer {li}")
 
 
 def _head_backward(cfg, layers, cache, grad_out):

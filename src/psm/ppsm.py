@@ -36,7 +36,10 @@ WEIGHT_SPAN_MINED_ONLY = "mined_only"
 
 @dataclass
 class WeightVector:
-    """Per-neighbor loss weights w0..wk plus the strategy that produced them."""
+    """Per-neighbor loss weights w0..wk plus the strategy that produced them.
+
+    ``weights`` is one row, or a (rows, k+1) matrix with one row per query.
+    """
 
     weights: NDArray[np.float64]
     strategy: str = "V0"
@@ -82,10 +85,12 @@ def soft_weights(
 def apply_weight_strategy(w: WeightVector, strategy: str, k: int) -> WeightVector:
     """Reshape V0 weights per the ablation strategies V0..V4.
 
-    ``k`` is the mined-neighbor count defining the V1 threshold 1/k; the
-    filter applies to all k+1 entries, index 0 included. With k = 0 there
-    is nothing to threshold and the weights pass through untouched (V4
-    still pins everything to 1).
+    ``w.weights`` is one row of k+1 weights or a (rows, k+1) matrix, one
+    row per query; every row is treated on its own. ``k`` is the
+    mined-neighbor count defining the V1 threshold 1/k; the filter applies
+    to all k+1 entries, index 0 included. With k = 0 there is nothing to
+    threshold and the weights pass through untouched (V4 still pins
+    everything to 1).
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -101,9 +106,9 @@ def apply_weight_strategy(w: WeightVector, strategy: str, k: int) -> WeightVecto
     survivors = weights >= 1.0 / k
     weights[~survivors] = 0.0
     if strategy == "V2":
-        n_surv = int(survivors.sum())
-        if n_surv:
-            weights[survivors] = 1.0 / n_surv
+        # 1.0 / n_surv per row; a row without survivors is already all zero
+        n_surv = survivors.sum(axis=-1, keepdims=True)
+        weights = np.where(survivors, 1.0 / np.maximum(n_surv, 1), weights)
     elif strategy == "V3":
         weights[survivors] = 1.0
     return WeightVector(weights=weights, strategy=strategy)
@@ -113,46 +118,77 @@ def apply_weight_strategy(w: WeightVector, strategy: str, k: int) -> WeightVecto
 #
 # Layout: query i owns positives pos_flat[pos_off[i]:pos_off[i+1]] with
 # weights w_flat over the same span, and negatives cands[neg_idx[m]] for
-# m in [neg_off[i], neg_off[i+1]). The per-query loss is
+# m in [neg_off[i], neg_off[i+1]); a candidate listed twice for one query
+# counts twice. The per-query loss is
 #     sum_j w_j * (logsumexp(all logits / t) - s_pos_j / t)
 # where "all logits" spans that query's positives and negatives together.
 # The gradient is with respect to the raw (pre-normalization) query row;
 # weights, positives, and candidates are constants.
+#
+# The whole batch is one computation with no per-query loop. One (B, M)
+# product q @ cands.T holds every query-candidate logit, and one bincount
+# over row*M + idx counts how often each candidate is listed for each
+# query, so a candidate listed twice counts twice. Positive logits are row
+# dots against pos_flat. Row maxima come from the listed logits and from
+# the positives scattered into a -inf filled (B, P) grid. exp(logit - max)
+# times the count gives the row sums and, scaled per row, the (B, M)
+# matrix D of d(loss)/d(similarity); the positives' derivatives fill a
+# (B, P) matrix Dp. The gradient is D @ cands + Dp @ pos_flat, projected
+# onto each query's tangent plane and divided by its norm, so no (n_neg, d)
+# or (B, M, d) temporary is formed. A row with zero norm or no positives
+# gets loss 0 and gradient 0; a row with no negatives keeps its
+# positive-only loss.
 
 
 def _nce_loss_grad_numpy(q_raw, pos_flat, w_flat, pos_off, cands, neg_idx, neg_off, t):
-    nq, dim = q_raw.shape
-    loss = np.zeros(nq, dtype=np.float64)
-    grad = np.zeros_like(q_raw)
-    for i in range(nq):
-        u = q_raw[i]
-        nrm = float(np.sqrt(u @ u))
-        if nrm == 0.0:
-            continue
-        q = u / nrm
-        ps, pe = pos_off[i], pos_off[i + 1]
-        ns, ne = neg_off[i], neg_off[i + 1]
-        if pe == ps:
-            continue
-        pos = pos_flat[ps:pe]
-        w = w_flat[ps:pe]
-        idx = neg_idx[ns:ne]
-        sp = pos @ q
-        sn = cands[idx] @ q if ne > ns else np.empty(0)
-        logits = np.concatenate([sp, sn]) / t
-        m = logits.max()
-        e = np.exp(logits - m)
-        z = e.sum()
-        lse = m + np.log(z)
-        wsum = w.sum()
-        loss[i] = float(np.dot(w, lse - sp / t))
-        # d(loss)/d(similarity) for every member of the denominator.
-        dlds = (wsum / t) * (e / z)
-        dlds[: pe - ps] -= w / t
-        g = dlds[: pe - ps] @ pos
-        if ne > ns:
-            g = g + dlds[pe - ps :] @ cands[idx]
-        grad[i] = (g - (q @ g) * q) / nrm
+    nq = q_raw.shape[0]
+    n_cands, n_pos = cands.shape[0], pos_flat.shape[0]
+    rows, pos_col = np.arange(nq), np.arange(n_pos)
+    pos_row = np.repeat(rows, np.diff(pos_off))
+    neg_row = np.repeat(rows, np.diff(neg_off))
+    nrm = np.sqrt(np.einsum("bd,bd->b", q_raw, q_raw))
+    live = (nrm > 0.0) & (pos_off[1:] > pos_off[:-1])
+    nrm = np.where(live, nrm, 1.0)
+    q = q_raw / nrm[:, None]
+
+    # How often each candidate sits in each query's negatives, and the logits.
+    n_listed = np.bincount(
+        neg_row * n_cands + neg_idx, minlength=nq * n_cands
+    ).reshape(nq, n_cands)
+    logit_neg = q @ cands.T
+    logit_neg /= t
+    logit_pos = np.einsum("pd,pd->p", pos_flat, q[pos_row]) / t
+    grid_pos = np.full((nq, n_pos), -np.inf)
+    grid_pos[pos_row, pos_col] = logit_pos
+    m = np.maximum(
+        np.where(n_listed > 0, logit_neg, -np.inf).max(axis=1, initial=-np.inf),
+        grid_pos.max(axis=1, initial=-np.inf),
+    )
+    m = np.where(live, m, 0.0)
+    # Unlisted cells may lie above the row maximum; capping them at 0 keeps
+    # exp finite before their zero count clears them.
+    e_neg = logit_neg
+    e_neg -= m[:, None]
+    np.minimum(e_neg, 0.0, out=e_neg)
+    np.exp(e_neg, out=e_neg)
+    e_neg *= n_listed
+    e_pos = np.exp(logit_pos - m[pos_row])
+    z = e_neg.sum(axis=1) + np.bincount(pos_row, e_pos, minlength=nq)
+    z = np.where(live, z, 1.0)
+    lse = m + np.log(z)
+    wsum = np.bincount(pos_row, w_flat, minlength=nq)
+    loss = np.bincount(pos_row, w_flat * (lse[pos_row] - logit_pos), minlength=nq)
+
+    # d(loss)/d(similarity) for every member of each query's denominator.
+    scale = wsum / (t * z)
+    d_neg = e_neg
+    d_neg *= scale[:, None]
+    d_pos = np.zeros((nq, n_pos))
+    d_pos[pos_row, pos_col] = scale[pos_row] * e_pos - w_flat / t
+    g = d_neg @ cands + d_pos @ pos_flat
+    grad = (g - np.einsum("bd,bd->b", q, g)[:, None] * q) / nrm[:, None]
+    loss[~live] = 0.0
+    grad[~live] = 0.0
     return loss, grad
 
 

@@ -264,10 +264,9 @@ def _psm_pass(
         if p_count > 1:
             weights[:, 1:] = _row_softmax(wsims[:, 1:])
     if cfg.strategy != "V0":
-        for i in range(bsz):
-            weights[i] = apply_weight_strategy(
-                WeightVector(weights[i]), cfg.strategy, k_eff
-            ).weights
+        weights = apply_weight_strategy(
+            WeightVector(weights), cfg.strategy, k_eff
+        ).weights
 
     hard = _zero_loss(bsz, dim)
     soft = _zero_loss(bsz, dim)

@@ -19,7 +19,7 @@ from psm.network import (
     save_checkpoint,
     sgd_step,
 )
-from psm.numerics import RngState
+from psm.numerics import RngState, l2_normalize_rows
 
 
 def _toy_cfg(bn=True, in_dim=8):
@@ -107,6 +107,61 @@ class TestInitAndForward:
         e = embed(p, RngState(3).normal((4, 8)))
         assert e.shape == (4, 6)
         np.testing.assert_allclose(np.linalg.norm(e, axis=1), 1.0, atol=1e-9)
+
+
+def _out_of_place_head(cfg, layers, x):
+    """Evaluation-mode head written out of place, one temporary per step."""
+    h = x
+    for li, layer in enumerate(layers):
+        a = h @ layer.w.T + layer.b
+        if layer.gamma is not None:
+            std = np.sqrt(layer.run_var + cfg.bn_eps)
+            a = layer.gamma * ((a - layer.run_mean) / std) + layer.beta
+        h = np.maximum(a, 0.0) if li != len(layers) - 1 else a
+    return h
+
+
+def _trained_looking_params(bn, seed):
+    """Toy params whose affine and running batch-norm terms are all nontrivial."""
+    params = _toy_params(bn=bn, seed=seed)
+    rng = RngState(seed + 100)
+    for _, arr in iter_trainable(params):
+        arr += 0.3 * rng.normal(arr.shape)
+    if bn:
+        for _ in range(3):
+            x = rng.normal((7, 8))
+            _, _, cache = forward_online(params, x, train=True)
+            commit_bn_stats(params, cache)
+    return params
+
+
+def _eval_state(params):
+    return [
+        arr.copy()
+        for head in ("encoder", "projector")
+        for layer in params.head(head)
+        for arr in (layer.w, layer.b, layer.gamma, layer.beta, layer.run_mean, layer.run_var)
+        if arr is not None
+    ]
+
+
+class TestEvalForward:
+    @pytest.mark.parametrize("bn", [True, False])
+    def test_embed_and_target_match_out_of_place_bit_for_bit(self, bn):
+        params = _trained_looking_params(bn, seed=21)
+        cfg = params.config
+        x = RngState(22).normal((9, 8))
+        x_before = x.copy()
+        state_before = _eval_state(params)
+
+        h = _out_of_place_head(cfg, params.encoder, x)
+        u = _out_of_place_head(cfg, params.projector, h)
+        np.testing.assert_array_equal(embed(params, x), l2_normalize_rows(h))
+        np.testing.assert_array_equal(forward_target(params, x), l2_normalize_rows(u))
+
+        np.testing.assert_array_equal(x, x_before)
+        for after, before in zip(_eval_state(params), state_before):
+            np.testing.assert_array_equal(after, before)
 
 
 class TestBackward:

@@ -112,6 +112,20 @@ class TestStrategies:
         w = apply_weight_strategy(WeightVector(np.array([0.4])), "V4", k=0)
         np.testing.assert_array_equal(w.weights, [1.0])
 
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_matrix_matches_row_by_row(self, strategy):
+        k = 3
+        rows = RngState(8).uniform((40, k + 1)) * (2.0 / k)
+        rows[0] = 1.0 / k  # exactly at the threshold: survives
+        rows[1] = 0.1  # no survivors
+        rows[2, :2] = 1.0 / k
+        batch = apply_weight_strategy(WeightVector(rows.copy()), strategy, k)
+        assert batch.strategy == strategy
+        expected = np.stack(
+            [apply_weight_strategy(WeightVector(r.copy()), strategy, k).weights for r in rows]
+        )
+        np.testing.assert_array_equal(batch.weights, expected)
+
     def test_requires_v0_input(self):
         tagged = WeightVector(np.array([1.0, 0.0]), strategy="V1")
         with pytest.raises(ValueError):
@@ -309,6 +323,58 @@ def _ragged_instance(seed):
     return q, pos_flat, w_flat, pos_off, cands, neg_idx, neg_off, t
 
 
+def _reference_nce_loss_grad(q_raw, pos_flat, w_flat, pos_off, cands, neg_idx, neg_off, t):
+    """The weighted NCE one query at a time; the batched kernel must match it."""
+    nq = q_raw.shape[0]
+    loss = np.zeros(nq, dtype=np.float64)
+    grad = np.zeros_like(q_raw)
+    for i in range(nq):
+        u = q_raw[i]
+        nrm = float(np.sqrt(u @ u))
+        if nrm == 0.0:
+            continue
+        q = u / nrm
+        ps, pe = pos_off[i], pos_off[i + 1]
+        ns, ne = neg_off[i], neg_off[i + 1]
+        if pe == ps:
+            continue
+        pos = pos_flat[ps:pe]
+        w = w_flat[ps:pe]
+        idx = neg_idx[ns:ne]
+        sp = pos @ q
+        sn = cands[idx] @ q if ne > ns else np.empty(0)
+        logits = np.concatenate([sp, sn]) / t
+        m = logits.max()
+        e = np.exp(logits - m)
+        z = e.sum()
+        lse = m + np.log(z)
+        wsum = w.sum()
+        loss[i] = float(np.dot(w, lse - sp / t))
+        # d(loss)/d(similarity) for every member of the denominator.
+        dlds = (wsum / t) * (e / z)
+        dlds[: pe - ps] -= w / t
+        g = dlds[: pe - ps] @ pos
+        if ne > ns:
+            g = g + dlds[pe - ps :] @ cands[idx]
+        grad[i] = (g - (q @ g) * q) / nrm
+    return loss, grad
+
+
+def _assert_matches_reference(inst):
+    loss, grad = nce_loss_grad(*inst)
+    ref_loss, ref_grad = _reference_nce_loss_grad(*inst)
+    np.testing.assert_allclose(loss, ref_loss, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(grad, ref_grad, rtol=1e-12, atol=1e-12)
+    return loss, grad
+
+
+def _has_duplicate_negative(inst):
+    neg_idx, neg_off = inst[5], inst[6]
+    return any(
+        len(set(neg_idx[a:b].tolist())) < b - a for a, b in zip(neg_off[:-1], neg_off[1:])
+    )
+
+
 class TestNceLossGrad:
     def test_is_deterministic(self):
         inst = _ragged_instance(7)
@@ -322,3 +388,68 @@ class TestNceLossGrad:
         inst[-1] = 0.0
         with pytest.raises(ValueError):
             nce_loss_grad(*inst)
+
+    def test_matches_reference_loop(self):
+        instances = [_ragged_instance(seed) for seed in range(50)]
+        # the same candidate listed twice for one query must count twice
+        assert sum(_has_duplicate_negative(inst) for inst in instances) >= 10
+        for inst in instances:
+            _assert_matches_reference(inst)
+
+    def test_zero_norm_query_gets_zero(self):
+        inst = list(_ragged_instance(4))
+        inst[0] = inst[0].copy()
+        inst[0][1] = 0.0
+        loss, grad = _assert_matches_reference(inst)
+        assert loss[1] == 0.0
+        np.testing.assert_array_equal(grad[1], 0.0)
+        assert np.all(loss[[0, *range(2, len(loss))]] != 0.0)
+
+    def test_query_without_positives_gets_zero(self):
+        q, pos_flat, w_flat, pos_off, cands, neg_idx, neg_off, t = _ragged_instance(5)
+        # drop query 1's positives, keep its negatives
+        keep = np.r_[0 : pos_off[1], pos_off[2] : pos_off[-1]]
+        counts = np.diff(pos_off)
+        counts[1] = 0
+        pos_off = np.concatenate([[0], np.cumsum(counts)])
+        inst = (q, pos_flat[keep], w_flat[keep], pos_off, cands, neg_idx, neg_off, t)
+        assert neg_off[2] > neg_off[1]
+        loss, grad = _assert_matches_reference(inst)
+        assert loss[1] == 0.0
+        np.testing.assert_array_equal(grad[1], 0.0)
+
+    def test_empty_negative_segment_keeps_positive_loss(self):
+        q = RngState(13).normal((3, 4))
+        pos_flat = l2_normalize_rows(RngState(14).normal((5, 4)))
+        w_flat = np.array([0.5, 0.25, 0.25, 1.0, 0.7])
+        pos_off = np.array([0, 3, 4, 5])
+        cands = l2_normalize_rows(RngState(15).normal((4, 4)))
+        neg_idx = np.array([0, 1, 1, 3])
+        neg_off = np.array([0, 0, 4, 4])  # queries 0 and 2 have no negatives
+        inst = (q, pos_flat, w_flat, pos_off, cands, neg_idx, neg_off, 0.5)
+        loss, _ = _assert_matches_reference(inst)
+        # a single positive and no negatives: lse equals its own logit
+        assert loss[2] == pytest.approx(0.0, abs=1e-15)
+        sp = pos_flat[:3] @ (q[0] / np.linalg.norm(q[0])) / 0.5
+        lse = np.log(np.exp(sp).sum())
+        assert loss[0] == pytest.approx(np.dot(w_flat[:3], lse - sp), rel=1e-12)
+
+    def test_no_candidates(self):
+        q, pos_flat, w_flat, pos_off, _, _, _, t = _ragged_instance(6)
+        nq, dim = q.shape
+        no_negatives = np.zeros(nq + 1, dtype=np.int64)
+        inst = (q, pos_flat, w_flat, pos_off, np.zeros((0, dim)), no_negatives[:0],
+                no_negatives, t)
+        loss, _ = _assert_matches_reference(inst)
+        assert np.all(np.isfinite(loss))
+
+    def test_duplicate_negative_counts_as_a_copy(self):
+        q, pos_flat, w_flat, pos_off, cands, _, _, t = _ragged_instance(9)
+        nq = q.shape[0]
+        off = np.arange(nq + 1) * 2
+        # every query lists candidate 0 twice, or two equal candidates once each
+        twice = nce_loss_grad(q, pos_flat, w_flat, pos_off, cands, np.zeros(2 * nq), off, t)
+        copies = np.vstack([cands[:1], cands[:1]])
+        once = nce_loss_grad(q, pos_flat, w_flat, pos_off, copies, np.tile([0, 1], nq), off, t)
+        for a, b in zip(twice, once):
+            np.testing.assert_allclose(a, b, rtol=1e-13, atol=1e-15)
