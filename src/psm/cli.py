@@ -157,6 +157,7 @@ def _echo_config(cfg: TrainConfig, args) -> dict:
 def cmd_pretrain(args) -> int:
     cfg = _config_from_args(args)
     train_ds, test_ds = _load_data(args)
+    cfg.steps_per_epoch(train_ds.n)  # a batch that does not fit fails before any write
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.json").write_text(
@@ -186,19 +187,24 @@ def cmd_pretrain(args) -> int:
     return 0
 
 
-def _embed_split(ckpt_path, train_ds, test_ds):
-    params, _, _ = network.load_checkpoint(ckpt_path)
-    return (
-        network.embed(params, train_ds.features),
-        network.embed(params, test_ds.features),
-    )
+def _load_checkpoint(path, ds: Dataset):
+    """Online and target parameters of a checkpoint whose input width fits ``ds``."""
+    params, _, target = network.load_checkpoint(path)
+    if params.config.in_dim != ds.dim:
+        raise DataFormatError(
+            f"data dim {ds.dim} does not match checkpoint input dim "
+            f"{params.config.in_dim}"
+        )
+    return params, target
 
 
 def cmd_probe(args) -> int:
     if not Path(args.checkpoint).is_file():
         raise FileNotFoundError(f"checkpoint not found: {args.checkpoint}")
     train_ds, test_ds = _load_data(args)
-    train_emb, test_emb = _embed_split(args.checkpoint, train_ds, test_ds)
+    params, _ = _load_checkpoint(args.checkpoint, train_ds)
+    train_emb = network.embed(params, train_ds.features)
+    test_emb = network.embed(params, test_ds.features)
     if args.mode == "knn":
         acc = knn_probe(
             train_emb, train_ds.labels, test_emb, test_ds.labels, k_nn=args.k_nn
@@ -217,12 +223,19 @@ def cmd_probe(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
+    for name, value, low in (
+        ("batch", args.batch, 1),
+        ("k", args.k, 0),
+        ("bank", args.bank, 1),
+        ("rank-depth", args.rank_depth, 1),
+    ):
+        if value < low:
+            raise ValueError(f"--{name} must be at least {low}, got {value}")
     if not Path(args.checkpoint).is_file():
         raise FileNotFoundError(f"checkpoint not found: {args.checkpoint}")
     train_ds, test_ds = _load_data(args)
-    params, _, target = network.load_checkpoint(args.checkpoint)
+    params, target = _load_checkpoint(args.checkpoint, train_ds)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
 
     if args.what == "gradients":
         bank_emb = network.forward_target(target, train_ds.features)
@@ -231,6 +244,7 @@ def cmd_diagnose(args) -> int:
         _, q, _ = network.forward_online(params, test_ds.features, train=False)
         z2 = network.forward_target(target, test_ds.features)
         profile = gradient_profile(q, z2, bank, rank_depth=args.rank_depth)
+        out.mkdir(parents=True, exist_ok=True)
         write_gradient_profile_csv(profile, out / "gradient_profile.csv")
         print(f"gradient profile written to {out / 'gradient_profile.csv'}")
         print(f"mean_positive_rank={profile.mean_positive_rank!r}")
@@ -251,6 +265,7 @@ def cmd_diagnose(args) -> int:
             report = purity(list(bank.labels_at(nb_idx)), train_ds.labels[sel], k=k_eff)
             rows.append((1, step, report.values[0]))
         bank.enqueue_batch(z2, train_ds.labels[sel])
+    out.mkdir(parents=True, exist_ok=True)
     write_purity_csv(rows, out / "purity.csv")
     mean = float(np.mean([r[2] for r in rows])) if rows else float("nan")
     print(f"purity written to {out / 'purity.csv'}")
@@ -318,6 +333,7 @@ def cmd_ablate(args) -> int:
         cfg.validate()
         cells.append((f"{args.axis}={raw}", cfg))
     train_ds, test_ds = _load_data(args)
+    base.steps_per_epoch(train_ds.n)  # every cell shares the batch size
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rows = run_ablation_suite(cells, train_ds, test_ds)

@@ -58,22 +58,6 @@ def mining_probability(s_neg, s_pos, a: float):
     return p
 
 
-def _mine_mask_numpy(sims_flat, s_pos, off, a, uniforms):
-    counts = np.diff(off)
-    anchor = np.repeat(s_pos, counts)
-    delta = sims_flat - anchor
-    probs = np.exp(-a * delta * delta)
-    keep = uniforms < probs
-    # Fallback: a query whose candidates were all rejected keeps its
-    # single most probable candidate (first index on ties).
-    csum = np.concatenate([[0], np.cumsum(keep)])
-    kept_per_q = csum[off[1:]] - csum[off[:-1]]
-    for i in np.nonzero((kept_per_q == 0) & (counts > 0))[0]:
-        s, e = off[i], off[i + 1]
-        keep[s + int(np.argmax(probs[s:e]))] = True
-    return probs, keep
-
-
 def mine_mask(
     sims_flat: NDArray[np.float64],
     s_pos: NDArray[np.float64],
@@ -96,7 +80,20 @@ def mine_mask(
     uniforms = np.ascontiguousarray(uniforms, dtype=np.float64)
     if sims_flat.shape != uniforms.shape:
         raise ValueError("uniforms must align with sims_flat")
-    return _mine_mask_numpy(sims_flat, s_pos, off, float(a), uniforms)
+    a = float(a)
+    counts = np.diff(off)
+    anchor = np.repeat(s_pos, counts)
+    delta = sims_flat - anchor
+    probs = np.exp(-a * delta * delta)
+    keep = uniforms < probs
+    # Fallback: a query whose candidates were all rejected keeps its
+    # single most probable candidate (first index on ties).
+    csum = np.concatenate([[0], np.cumsum(keep)])
+    kept_per_q = csum[off[1:]] - csum[off[:-1]]
+    for i in np.nonzero((kept_per_q == 0) & (counts > 0))[0]:
+        s, e = off[i], off[i + 1]
+        keep[s + int(np.argmax(probs[s:e]))] = True
+    return probs, keep
 
 
 def mine_negatives(
@@ -132,11 +129,13 @@ def filter_csr(
     cfg: MiningConfig,
     rng: RngState,
 ) -> tuple[NDArray[np.float64], NDArray[np.bool_]]:
-    """Mining mask over pre-computed ragged similarities (trainer hot path).
+    """Mining mask over one pool's pre-computed ragged similarities.
 
-    One flat uniform block is drawn for the whole pool, indexed by candidate
-    position; determinism and order-independence follow from the fixed
-    layout. Returns (probs, keep) aligned with sims_flat.
+    The trainer passes the True cells of its dense (query x candidate) pool
+    mask in row-major order. One flat uniform block is drawn for the whole
+    pool, indexed by that position; determinism and order-independence
+    follow from the fixed layout. Returns (probs, keep) aligned with
+    sims_flat.
     """
     uniforms = rng.uniform(int(np.asarray(sims_flat).shape[0]))
     return mine_mask(sims_flat, s_pos, off, cfg.a, uniforms)

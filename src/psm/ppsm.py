@@ -140,7 +140,43 @@ def apply_weight_strategy(w: WeightVector, strategy: str, k: int) -> WeightVecto
 # positive-only loss.
 
 
-def _nce_loss_grad_numpy(q_raw, pos_flat, w_flat, pos_off, cands, neg_idx, neg_off, t):
+def nce_loss_grad(
+    q_raw: NDArray[np.float64],
+    pos_flat: NDArray[np.float64],
+    w_flat: NDArray[np.float64],
+    pos_off: NDArray[np.int64],
+    cands: NDArray[np.float64],
+    neg_idx: NDArray[np.int64],
+    neg_off: NDArray[np.int64],
+    t: float,
+) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """Per-query weighted NCE loss values and gradients w.r.t. raw queries.
+
+    Args:
+        q_raw: (B, d) query rows, normalized inside the kernel.
+        pos_flat: flattened positive embeddings, unit rows.
+        w_flat: weight per positive, aligned with pos_flat.
+        pos_off: (B+1,) segment offsets into pos_flat / w_flat.
+        cands: (M, d) candidate matrix holding every potential negative.
+        neg_idx: flat candidate row indices, one per retained negative.
+        neg_off: (B+1,) segment offsets into neg_idx.
+        t: temperature, > 0.
+
+    Returns:
+        (loss_per_query, grad_raw) with shapes (B,) and (B, d).
+    """
+    if t <= 0.0:
+        raise ValueError(f"temperature must be positive, got {t}")
+    q_raw = np.ascontiguousarray(q_raw, dtype=np.float64)
+    pos_flat = np.ascontiguousarray(pos_flat, dtype=np.float64)
+    w_flat = np.ascontiguousarray(w_flat, dtype=np.float64)
+    cands = np.ascontiguousarray(cands, dtype=np.float64)
+    pos_off = np.ascontiguousarray(pos_off, dtype=np.int64)
+    neg_idx = np.ascontiguousarray(neg_idx, dtype=np.int64)
+    neg_off = np.ascontiguousarray(neg_off, dtype=np.int64)
+    if cands.ndim != 2:
+        cands = cands.reshape(0, q_raw.shape[1])
+    t = float(t)
     nq = q_raw.shape[0]
     n_cands, n_pos = cands.shape[0], pos_flat.shape[0]
     rows, pos_col = np.arange(nq), np.arange(n_pos)
@@ -190,55 +226,6 @@ def _nce_loss_grad_numpy(q_raw, pos_flat, w_flat, pos_off, cands, neg_idx, neg_o
     loss[~live] = 0.0
     grad[~live] = 0.0
     return loss, grad
-
-
-def _as_f64(x):
-    return np.ascontiguousarray(x, dtype=np.float64)
-
-
-def _as_i64(x):
-    return np.ascontiguousarray(x, dtype=np.int64)
-
-
-def nce_loss_grad(
-    q_raw: NDArray[np.float64],
-    pos_flat: NDArray[np.float64],
-    w_flat: NDArray[np.float64],
-    pos_off: NDArray[np.int64],
-    cands: NDArray[np.float64],
-    neg_idx: NDArray[np.int64],
-    neg_off: NDArray[np.int64],
-    t: float,
-) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    """Per-query weighted NCE loss values and gradients w.r.t. raw queries.
-
-    Args:
-        q_raw: (B, d) query rows, normalized inside the kernel.
-        pos_flat: flattened positive embeddings, unit rows.
-        w_flat: weight per positive, aligned with pos_flat.
-        pos_off: (B+1,) segment offsets into pos_flat / w_flat.
-        cands: (M, d) candidate matrix holding every potential negative.
-        neg_idx: flat candidate row indices, one per retained negative.
-        neg_off: (B+1,) segment offsets into neg_idx.
-        t: temperature, > 0.
-
-    Returns:
-        (loss_per_query, grad_raw) with shapes (B,) and (B, d).
-    """
-    if t <= 0.0:
-        raise ValueError(f"temperature must be positive, got {t}")
-    q_raw = _as_f64(q_raw)
-    pos_flat = _as_f64(pos_flat)
-    w_flat = _as_f64(w_flat)
-    cands = _as_f64(cands)
-    pos_off = _as_i64(pos_off)
-    neg_idx = _as_i64(neg_idx)
-    neg_off = _as_i64(neg_off)
-    if cands.ndim != 2:
-        cands = cands.reshape(0, q_raw.shape[1])
-    return _nce_loss_grad_numpy(
-        q_raw, pos_flat, w_flat, pos_off, cands, neg_idx, neg_off, float(t)
-    )
 
 
 def _pack_negatives(

@@ -1,10 +1,11 @@
 """Training orchestration: the full mining pipeline, a baseline, ablations.
 
 Per step the pipeline runs: two views, online and target forwards, top-k
-neighbor mining for every query, soft weighting, negative-pool assembly
+neighbor mining for every query, soft weighting, the negative pools
 (target projections of both views of the other samples for the hard loss,
-the other queries' neighbor members for the soft loss), optional Bernoulli
-negative filtering, the combined loss, manual backprop, SGD, the EMA
+the other queries' neighbor members for the soft loss), each a dense
+(query x candidate) boolean mask that optional Bernoulli filtering thins
+in place, the combined loss, manual backprop, SGD, the EMA
 target update, and finally the bank enqueue. Enqueue happens strictly
 after querying, so a sample's own view never shows up among its mined
 neighbors; the view is already member 0 by construction.
@@ -118,11 +119,22 @@ class TrainConfig:
             raise ValueError(f"unknown strategy {self.strategy!r}")
         if self.weight_span not in (WEIGHT_SPAN_WITH_VIEW, WEIGHT_SPAN_MINED_ONLY):
             raise ValueError(f"unknown weight span {self.weight_span!r}")
+        if self.probe_knn < 1:
+            raise ValueError("probe_knn must be at least 1")
         if not self.baseline:
             if not self.use_soft and not self.use_hard:
                 raise ValueError("at least one of the soft/hard losses must be on")
             if self.k == 0 and not self.use_hard:
                 raise ValueError("k=0 with the hard loss disabled leaves no signal")
+
+    def steps_per_epoch(self, n_rows: int) -> int:
+        """Full batches per epoch over ``n_rows`` rows; at least one if training."""
+        steps = n_rows // self.batch_size
+        if self.epochs > 0 and steps == 0:
+            raise ValueError(
+                f"batch size {self.batch_size} exceeds dataset size {n_rows}"
+            )
+        return steps
 
 
 @dataclass
@@ -150,36 +162,6 @@ class _StepEval:
     retained_mean: float
 
 
-_CSR_CACHE: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _hard_csr(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Negative indices into the stacked (2n, d) view matrix, per query."""
-    key = ("hard", n)
-    if key not in _CSR_CACHE:
-        mask = np.ones((n, 2 * n), dtype=bool)
-        rows = np.arange(n)
-        mask[rows, rows] = False
-        mask[rows, n + rows] = False
-        idx = np.tile(np.arange(2 * n, dtype=np.int64), (n, 1))[mask]
-        off = np.arange(n + 1, dtype=np.int64) * (2 * n - 2)
-        _CSR_CACHE[key] = (idx, off)
-    return _CSR_CACHE[key]
-
-
-def _soft_csr(n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Indices into the flattened (n*p, d) neighbor members, per query."""
-    key = ("soft", n, p)
-    if key not in _CSR_CACHE:
-        mask = np.ones((n, n * p), dtype=bool)
-        for i in range(n):
-            mask[i, i * p : (i + 1) * p] = False
-        idx = np.tile(np.arange(n * p, dtype=np.int64), (n, 1))[mask]
-        off = np.arange(n + 1, dtype=np.int64) * ((n - 1) * p)
-        _CSR_CACHE[key] = (idx, off)
-    return _CSR_CACHE[key]
-
-
 def _row_softmax(scores: np.ndarray) -> np.ndarray:
     e = np.exp(scores - scores.max(axis=1, keepdims=True))
     return e / e.sum(axis=1, keepdims=True)
@@ -194,6 +176,13 @@ def _zero_loss(bsz: int, dim: int) -> LossOutput:
     )
 
 
+def _offsets(neg: np.ndarray) -> np.ndarray:
+    """CSR offsets of a (B, M) mask: row i owns the flat run off[i]:off[i+1]."""
+    off = np.zeros(neg.shape[0] + 1, dtype=np.int64)
+    np.cumsum(neg.sum(axis=1), out=off[1:])
+    return off
+
+
 def _pool_loss(
     cfg: TrainConfig,
     q: np.ndarray,
@@ -201,29 +190,33 @@ def _pool_loss(
     pos: np.ndarray,
     w: np.ndarray,
     cands: np.ndarray,
-    csr: tuple[np.ndarray, np.ndarray],
+    owner: np.ndarray,
     rng: RngState,
     *tags: int | str,
 ) -> LossOutput:
     """Weighted NCE of q against one candidate pool, Bernoulli-filtered when mining.
 
-    Each query owns ``len(w) // B`` consecutive rows of ``pos``; ``csr``
-    lists its candidate rows. The mask is anchored at the similarity of q
-    to ``view`` and draws from ``rng.split(*tags)``.
+    Each query owns ``len(w) // B`` consecutive rows of ``pos``. The pool
+    is the dense (B, M) mask ``neg``: query i may take candidate m as a
+    negative unless ``owner[m] == i``, that is, unless the candidate holds
+    one of the query's own rows. Mining anchors at the similarity of q to
+    ``view``, draws from ``rng.split(*tags)`` one uniform per True cell in
+    row-major order, and clears the rejected cells. The flat CSR lists the
+    kernel takes are read off the mask once, in the same row-major order.
     """
-    bsz = q.shape[0]
-    idx, off = csr
+    bsz, n_cands = q.shape[0], cands.shape[0]
+    neg = np.ones((bsz, n_cands), dtype=bool)
+    neg[owner, np.arange(n_cands)] = False
     if cfg.use_pnsm:
         s_pos = np.clip(np.einsum("bd,bd->b", q, view), -1.0, 1.0)
         sims = np.clip(q @ cands.T, -1.0, 1.0)
-        flat = sims[np.repeat(np.arange(bsz), np.diff(off)), idx]
-        _, keep = filter_csr(flat, s_pos, off, MiningConfig(a=cfg.a), rng.split(*tags))
-        csum = np.concatenate([[0], np.cumsum(keep)])
-        new_off = np.zeros_like(off)
-        new_off[1:] = csum[off[1:]]
-        idx, off = idx[keep], new_off
+        _, keep = filter_csr(
+            sims[neg], s_pos, _offsets(neg), MiningConfig(a=cfg.a), rng.split(*tags)
+        )
+        neg[neg] = keep
+    idx = np.broadcast_to(np.arange(n_cands), neg.shape)[neg]
     pos_off = np.arange(bsz + 1, dtype=np.int64) * (len(w) // bsz)
-    return weighted_nce_csr(q, pos, w, pos_off, cands, idx, off, cfg.t)
+    return weighted_nce_csr(q, pos, w, pos_off, cands, idx, _offsets(neg), cfg.t)
 
 
 def _mean_of_passes(a: _StepEval, b: _StepEval) -> _StepEval:
@@ -273,15 +266,15 @@ def _psm_pass(
     retained = 0.0
     if cfg.use_hard:
         hard = _pool_loss(
-            cfg, q1, pos_view, pos_view, np.ones(bsz), cands_hard, _hard_csr(bsz),
-            rng_pnsm, "hard",
+            cfg, q1, pos_view, pos_view, np.ones(bsz), cands_hard,
+            np.tile(np.arange(bsz), 2), rng_pnsm, "hard",
         )
         retained += float(hard.neg_counts.mean())
     if cfg.use_soft:
         cands_soft = members.reshape(bsz * p_count, dim)
         soft = _pool_loss(
             cfg, q1, pos_view, cands_soft, weights.reshape(-1), cands_soft,
-            _soft_csr(bsz, p_count), rng_pnsm, "soft",
+            np.repeat(np.arange(bsz), p_count), rng_pnsm, "soft",
         )
         retained += float(soft.neg_counts.mean())
 
@@ -346,11 +339,12 @@ def _evaluate_baseline_step(
     z1b, _, cache_b = forward_online(params, x2, train=True)
     bsz = z1a.shape[0]
     cands = np.concatenate([z1a, z1b], axis=0)
+    owner = np.tile(np.arange(bsz), 2)
     rng_pnsm = root.split("pnsm", epoch, step)
     passes = []
     for pass_no, (q, pos, cache) in enumerate(((z1a, z1b, cache_a), (z1b, z1a, cache_b))):
         out = _pool_loss(
-            cfg, q, pos, pos, np.ones(bsz), cands, _hard_csr(bsz), rng_pnsm, "pass", pass_no
+            cfg, q, pos, pos, np.ones(bsz), cands, owner, rng_pnsm, "pass", pass_no
         )
         passes.append(
             _StepEval(
@@ -399,11 +393,7 @@ def pretrain(
     """
     cfg.validate()
     baseline = cfg.baseline
-    steps_per_epoch = train_ds.n // cfg.batch_size
-    if cfg.epochs > 0 and steps_per_epoch == 0:
-        raise ValueError(
-            f"batch size {cfg.batch_size} exceeds dataset size {train_ds.n}"
-        )
+    steps_per_epoch = cfg.steps_per_epoch(train_ds.n)
     root = RngState(cfg.seed)
     net_cfg = NetworkConfig(
         in_dim=train_ds.dim,

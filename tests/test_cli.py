@@ -149,20 +149,21 @@ class TestPretrain:
 
 
 class TestExitCodes:
-    def test_validation_failure_precedes_writes(self, tmp_path):
+    @pytest.mark.parametrize(
+        "extra, config",
+        [
+            (["--synthetic", SYN, "--k", "0", "--no-hard"], {}),
+            (["--synthetic", "c4,d8,n8,sep6", "--batch", "64", "--epochs", "2",
+              "--warmup", "0"], {}),
+            (["--synthetic", SYN], {"probe_knn": 0}),
+        ],
+        ids=["k0_no_hard", "batch_exceeds_rows", "probe_knn_0"],
+    )
+    def test_validation_failure_precedes_writes(self, tmp_path, extra, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
         out = tmp_path / "never"
-        code = cli.main(
-            [
-                "pretrain",
-                "--synthetic",
-                SYN,
-                "--k",
-                "0",
-                "--no-hard",
-                "--out",
-                str(out),
-            ]
-        )
+        code = cli.main(["pretrain", *extra, "--config", str(cfg), "--out", str(out)])
         assert code == 1
         assert not out.exists()
 
@@ -283,6 +284,20 @@ class TestProbe:
         assert any(l.startswith("top1=") for l in out.splitlines())
         assert any(l.startswith("top3=") for l in out.splitlines())
 
+    def test_data_width_mismatch_is_data_error(self, mini_run, capsys):
+        code = cli.main(
+            [
+                "probe",
+                "--checkpoint",
+                str(mini_run / "checkpoint.psmc"),
+                "--synthetic",
+                "c3,d9,n16,sep6",
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "data dim 9" in err and "checkpoint input dim 8" in err
+
     def test_missing_checkpoint_is_data_error(self, tmp_path):
         code = cli.main(
             [
@@ -366,8 +381,21 @@ class TestDiagnose:
             ]
         )
         assert code == 1
+        assert not (tmp_path / "d").exists()
 
-    def test_oversized_batch(self, mini_run, tmp_path):
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--what", "purity", "--batch", "999"],
+            ["--what", "purity", "--batch", "0"],
+            ["--what", "purity", "--k", "-1"],
+            ["--what", "purity", "--bank", "0"],
+            ["--what", "gradients", "--rank-depth", "0"],
+        ],
+        ids=["batch_999", "batch_0", "k_negative", "bank_0", "rank_depth_0"],
+    )
+    def test_oversized_batch(self, mini_run, tmp_path, capsys, extra):
+        out = tmp_path / "d"
         code = cli.main(
             [
                 "diagnose",
@@ -375,15 +403,34 @@ class TestDiagnose:
                 str(mini_run / "checkpoint.psmc"),
                 "--synthetic",
                 SYN,
-                "--what",
-                "purity",
                 "--out",
-                str(tmp_path / "d"),
-                "--batch",
-                "999",
+                str(out),
+                *extra,
             ]
         )
         assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    def test_data_width_mismatch_is_data_error(self, mini_run, tmp_path, capsys):
+        out = tmp_path / "d"
+        code = cli.main(
+            [
+                "diagnose",
+                "--checkpoint",
+                str(mini_run / "checkpoint.psmc"),
+                "--synthetic",
+                "c3,d9,n16,sep6",
+                "--what",
+                "purity",
+                "--out",
+                str(out),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "data dim 9" in err and "checkpoint input dim 8" in err
+        assert not out.exists()
 
 
 @pytest.fixture()
@@ -567,3 +614,25 @@ class TestAblate:
             ]
         )
         assert code == 1
+
+    def test_oversized_batch_precedes_writes(self, tmp_path):
+        out = tmp_path / "abl"
+        code = cli.main(
+            [
+                "ablate",
+                "--synthetic",
+                SYN,
+                "--axis",
+                "k",
+                "--values",
+                "1,3",
+                "--epochs",
+                "2",
+                "--batch",
+                "999",
+                "--out",
+                str(out),
+            ]
+        )
+        assert code == 1
+        assert not out.exists()

@@ -11,6 +11,7 @@ from psm.trainer import (
     METRICS_HEADER,
     TrainConfig,
     _accumulate_grads,
+    _evaluate_baseline_step,
     _evaluate_psm_step,
     pretrain,
     run_ablation_suite,
@@ -59,6 +60,7 @@ class TestValidate:
             dict(weight_span="everything"),
             dict(use_soft=False, use_hard=False),
             dict(k=0, use_hard=False),
+            dict(probe_knn=0),
         ],
     )
     def test_rejects(self, over):
@@ -143,6 +145,26 @@ class TestSwapInvariance:
             np.testing.assert_allclose(ga[key], gb[key], rtol=1e-7, atol=1e-10)
 
 
+def _tiny_psm_step(symmetrize, use_pnsm):
+    """One PSM step at B=16, k=3 against a 40-row bank."""
+    net_cfg = NetworkConfig(
+        in_dim=8, encoder=(16, 8), projector=(8, 6), predictor=(6, 6)
+    )
+    params = init_params(net_cfg, RngState(3))
+    bank = MemoryBank(64, 6, with_labels=True)
+    bank.enqueue_batch(
+        l2_normalize_rows(RngState(4).normal((40, 6))),
+        RngState(5).integers(0, 4, size=40),
+    )
+    x = gen_clusters(4, 4, 8, 6.0, seed=6).features
+    cfg = _mini_cfg(symmetrize=symmetrize, use_pnsm=use_pnsm, k=3)
+    labels = np.arange(16, dtype=np.int64) % 4
+    _evaluate_psm_step(
+        cfg, params, copy_params(params), bank, x + 0.05, x - 0.05, labels, 1, 0,
+        RngState(9),
+    )
+
+
 class TestMiningSubstreams:
     def _step_keys(self, monkeypatch, symmetrize):
         from psm import pnsm, trainer
@@ -154,22 +176,7 @@ class TestMiningSubstreams:
             return pnsm.filter_csr(sims_flat, s_pos, off, cfg, rng)
 
         monkeypatch.setattr(trainer, "filter_csr", recording)
-        net_cfg = NetworkConfig(
-            in_dim=8, encoder=(16, 8), projector=(8, 6), predictor=(6, 6)
-        )
-        params = init_params(net_cfg, RngState(3))
-        bank = MemoryBank(64, 6, with_labels=True)
-        bank.enqueue_batch(
-            l2_normalize_rows(RngState(4).normal((40, 6))),
-            RngState(5).integers(0, 4, size=40),
-        )
-        x = gen_clusters(4, 4, 8, 6.0, seed=6).features
-        cfg = _mini_cfg(symmetrize=symmetrize, use_pnsm=True, k=3)
-        labels = np.arange(16, dtype=np.int64) % 4
-        _evaluate_psm_step(
-            cfg, params, copy_params(params), bank, x + 0.05, x - 0.05, labels, 1, 0,
-            RngState(9),
-        )
+        _tiny_psm_step(symmetrize, use_pnsm=True)
         return keys
 
     def test_symmetrized_passes_draw_distinct_streams(self, monkeypatch):
@@ -183,6 +190,106 @@ class TestMiningSubstreams:
         step = RngState(9).split("pnsm", 1, 0)
         assert plain == [step.split("hard")._key, step.split("soft")._key]
         assert sym[:2] == plain
+
+
+def _hard_csr(n):
+    """Reference layout of the hard pool: indices into the stacked (2n, d) views."""
+    mask = np.ones((n, 2 * n), dtype=bool)
+    rows = np.arange(n)
+    mask[rows, rows] = False
+    mask[rows, n + rows] = False
+    idx = np.tile(np.arange(2 * n, dtype=np.int64), (n, 1))[mask]
+    off = np.arange(n + 1, dtype=np.int64) * (2 * n - 2)
+    return idx, off
+
+
+def _soft_csr(n, p):
+    """Reference layout of the soft pool: indices into the flat (n*p, d) members."""
+    mask = np.ones((n, n * p), dtype=bool)
+    for i in range(n):
+        mask[i, i * p : (i + 1) * p] = False
+    idx = np.tile(np.arange(n * p, dtype=np.int64), (n, 1))[mask]
+    off = np.arange(n + 1, dtype=np.int64) * ((n - 1) * p)
+    return idx, off
+
+
+def _reference_filtered(idx, off, keep):
+    """Drop rejected entries from a CSR list and re-thread its offsets."""
+    csum = np.concatenate([[0], np.cumsum(keep)])
+    new_off = np.zeros_like(off)
+    new_off[1:] = csum[off[1:]]
+    return idx[keep], new_off
+
+
+class TestPoolLayout:
+    """The dense pool masks hand the kernels exactly the old CSR lists."""
+
+    def _record(self, monkeypatch):
+        from psm import pnsm, ppsm, trainer
+
+        calls = []
+
+        def filter_rec(sims_flat, s_pos, off, cfg, rng):
+            out = pnsm.filter_csr(sims_flat, s_pos, off, cfg, rng)
+            calls.append(("filter", (sims_flat, off), out[1]))
+            return out
+
+        def nce_rec(q1, pos_flat, w_flat, pos_off, cands, neg_idx, neg_off, t):
+            calls.append(("nce", (q1, cands, neg_idx, neg_off), None))
+            return ppsm.weighted_nce_csr(
+                q1, pos_flat, w_flat, pos_off, cands, neg_idx, neg_off, t
+            )
+
+        monkeypatch.setattr(trainer, "filter_csr", filter_rec)
+        monkeypatch.setattr(trainer, "weighted_nce_csr", nce_rec)
+        return calls
+
+    def _check(self, calls, mining, n_pools):
+        pools = 0
+        while calls:
+            keep = None
+            if mining:
+                kind, (sims_flat, filter_off), keep = calls.pop(0)
+                assert kind == "filter"
+            kind, (q, cands, neg_idx, neg_off), _ = calls.pop(0)
+            assert kind == "nce"
+            bsz, n_cands = q.shape[0], cands.shape[0]
+            if n_cands == 2 * bsz:
+                idx, off = _hard_csr(bsz)
+            else:
+                idx, off = _soft_csr(bsz, n_cands // bsz)
+            if mining:
+                sims = np.clip(q @ cands.T, -1.0, 1.0)
+                rows = np.repeat(np.arange(bsz), np.diff(off))
+                np.testing.assert_array_equal(sims_flat, sims[rows, idx])
+                np.testing.assert_array_equal(filter_off, off)
+                assert not keep.all()  # the filter really thinned this pool
+                idx, off = _reference_filtered(idx, off, keep)
+            np.testing.assert_array_equal(neg_idx, idx)
+            np.testing.assert_array_equal(neg_off, off)
+            pools += 1
+        assert pools == n_pools
+
+    @pytest.mark.parametrize("mining", [True, False])
+    @pytest.mark.parametrize("symmetrize", [False, True])
+    def test_psm_step(self, monkeypatch, mining, symmetrize):
+        calls = self._record(monkeypatch)
+        _tiny_psm_step(symmetrize, use_pnsm=mining)
+        pool_sizes = [c[1][1].shape[0] for c in calls if c[0] == "nce"]
+        assert pool_sizes == [32, 64] * (1 + symmetrize)  # hard 2B, then soft B*(k+1)
+        self._check(calls, mining, n_pools=2 * (1 + symmetrize))
+
+    @pytest.mark.parametrize("mining", [True, False])
+    def test_baseline_step(self, monkeypatch, mining):
+        calls = self._record(monkeypatch)
+        net_cfg = NetworkConfig(
+            in_dim=8, encoder=(16, 8), projector=(8, 6), predictor=(6, 6)
+        )
+        params = init_params(net_cfg, RngState(3))
+        x = gen_clusters(4, 4, 8, 6.0, seed=6).features
+        cfg = _mini_cfg(baseline=True, use_pnsm=mining)
+        _evaluate_baseline_step(cfg, params, x + 0.05, x - 0.05, 1, 0, RngState(9))
+        self._check(calls, mining, n_pools=2)
 
 
 class TestLossComposition:
