@@ -32,10 +32,6 @@ def write_u8(fh: BinaryIO, v: int) -> None:
     fh.write(struct.pack("<B", v))
 
 
-def write_u32(fh: BinaryIO, v: int) -> None:
-    fh.write(struct.pack("<I", v))
-
-
 def write_u64(fh: BinaryIO, v: int) -> None:
     fh.write(struct.pack("<Q", v))
 

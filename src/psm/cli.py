@@ -138,8 +138,8 @@ def _config_from_args(args) -> TrainConfig:
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     for head in ("encoder", "projector", "predictor"):
-        if head in values:
-            values[head] = tuple(int(w) for w in values[head])
+        if isinstance(values.get(head), list):
+            values[head] = tuple(values[head])
     cfg = TrainConfig(**values)
     if aug_kwargs:
         cfg = dataclasses.replace(cfg, augment=AugmentPolicy(**aug_kwargs))
@@ -262,8 +262,8 @@ def cmd_diagnose(args) -> int:
         z2 = network.forward_target(target, train_ds.features[sel])
         _, nb_idx, _, k_eff = query_topk_batch(bank, z2, args.k)
         if k_eff > 0:
-            report = purity(list(bank.labels_at(nb_idx)), train_ds.labels[sel], k=k_eff)
-            rows.append((1, step, report.values[0]))
+            _, topk = purity(bank.labels_at(nb_idx), train_ds.labels[sel])
+            rows.append((1, step, topk))
         bank.enqueue_batch(z2, train_ds.labels[sel])
     out.mkdir(parents=True, exist_ok=True)
     write_purity_csv(rows, out / "purity.csv")
@@ -274,6 +274,7 @@ def cmd_diagnose(args) -> int:
 
 
 def cmd_mine(args) -> int:
+    mining = MiningConfig(a=args.a)
     bank = load_bank(args.bank)
     ds = load_csv(args.query)
     queries = l2_normalize_rows(ds.features)
@@ -300,7 +301,7 @@ def cmd_mine(args) -> int:
             q,
             float(sims[anchor]),
             entries[cand_rows],
-            MiningConfig(a=args.a),
+            mining,
             rng.split("mine", i),
             query_id=i,
         )

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 from numpy.typing import NDArray
 
-from .numerics import RngState, l2_normalize_rows
+from .numerics import RngState, check_field_types, l2_normalize_rows
 
 
 class DataFormatError(ValueError):
@@ -58,6 +58,7 @@ class AugmentPolicy:
     scale_hi: float = 1.25
 
     def __post_init__(self):
+        check_field_types(self)
         if self.sigma < 0:
             raise ValueError("sigma must be nonnegative")
         if not 0.0 <= self.dropout < 1.0:
@@ -84,8 +85,8 @@ def gen_clusters(
         raise ValueError("need at least 2 classes and 2 dimensions")
     if n_per_class < 1:
         raise ValueError("n_per_class must be positive")
-    if separation <= 0:
-        raise ValueError("separation must be positive")
+    if not (np.isfinite(separation) and separation > 0):
+        raise ValueError("separation must be positive and finite")
     root = RngState(seed)
     means = l2_normalize_rows(root.split("means").normal((classes, dim)))
     means = means * separation

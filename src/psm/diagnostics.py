@@ -9,9 +9,9 @@ embeddings with kNN or a small logistic head.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 from numpy.typing import NDArray
@@ -25,46 +25,22 @@ from .numerics import check_unit_rows, top_k_indices
 _KNN_BLOCK = 32
 
 
-@dataclass
-class PurityReport:
-    """Per-batch purity values for one epoch of mining."""
+def purity(mined_labels: np.ndarray, query_labels: np.ndarray) -> tuple[float, float]:
+    """Top-1 and top-k neighbor purity of one batch of mined labels.
 
-    k: int
-    values: list[float] = field(default_factory=list)
-
-    def add(self, value: float) -> None:
-        self.values.append(float(value))
-
-    @property
-    def epoch_mean(self) -> float:
-        return float(np.mean(self.values)) if self.values else float("nan")
-
-
-def purity(
-    mined_labels: Sequence[np.ndarray], query_labels: np.ndarray, k: int | None = None
-) -> PurityReport:
-    """Fraction of mined labels matching their query's label, batch-averaged.
-
-    ``mined_labels[i]`` lists the labels of the entries mined for query i
-    (the augmented view itself is not part of the mined set). Queries with
-    an empty mined list are skipped in the per-query average.
+    Row i of the (B, k) ``mined_labels``, k >= 1, lists the labels mined for
+    query i, nearest first; the augmented view is not among them. Returns
+    the share of queries whose nearest neighbor shares their label and the
+    share of all B * k mined labels that match their query's label.
     """
+    mined = np.asarray(mined_labels)
     query_labels = np.asarray(query_labels).reshape(-1)
-    if len(mined_labels) != query_labels.shape[0]:
+    if mined.ndim != 2 or mined.shape[1] == 0 or len(mined) != len(query_labels):
         raise ValueError(
-            f"{len(mined_labels)} mined lists for {query_labels.shape[0]} queries"
+            f"mined labels {mined.shape} do not fit {len(query_labels)} queries"
         )
-    fractions = []
-    widest = 0
-    for got, want in zip(mined_labels, query_labels):
-        got = np.asarray(got)
-        widest = max(widest, got.size)
-        if got.size:
-            fractions.append(float(np.mean(got == want)))
-    report = PurityReport(k=widest if k is None else k)
-    if fractions:
-        report.add(float(np.mean(fractions)))
-    return report
+    top1 = float(np.mean(mined[:, 0] == query_labels))
+    return top1, float(np.mean(mined == query_labels[:, None]))
 
 
 def bce_gradient_coefficient(s, is_positive: bool):

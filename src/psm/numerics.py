@@ -7,7 +7,9 @@ RNG state) give bit-identical outputs. Embedding matrices are plain
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
+import math
 
 import numpy as np
 from numpy.typing import NDArray
@@ -58,19 +60,20 @@ def l2_normalize_rows(
     return out
 
 
-def softmax(v: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Stable softmax of a nonempty finite score vector.
+def softmax(scores: NDArray[np.float64]) -> NDArray[np.float64]:
+    """Row-wise stable softmax of a finite (rows, n) score matrix, n >= 1.
 
-    Computed with max subtraction; the output is positive and sums to 1
-    within 1e-12. Adding a constant to all scores leaves it unchanged.
+    Each row is shifted by its own maximum before exponentiating; every
+    output row is positive and sums to 1 within 1e-12, and adding a
+    constant to a row leaves that row unchanged.
     """
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1 or v.size == 0:
-        raise ValueError("softmax needs a nonempty 1-d vector")
-    if not np.all(np.isfinite(v)):
+    scores = np.asarray(scores, dtype=np.float64)
+    if scores.ndim != 2 or scores.shape[1] == 0:
+        raise ValueError(f"softmax needs a (rows, n >= 1) matrix, got {scores.shape}")
+    if not np.all(np.isfinite(scores)):
         raise ValueError("softmax input must be finite")
-    e = np.exp(v - v.max())
-    return e / e.sum()
+    e = np.exp(scores - scores.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
 
 
 def top_k_indices(scores: NDArray[np.float64], k: int) -> NDArray[np.int64]:
@@ -115,6 +118,31 @@ def _exact_survivors(neg: np.ndarray, kth: float, kk: int) -> NDArray[np.intp]:
         below, tied = neg < kth, neg == kth
     ahead = np.flatnonzero(below)
     return np.concatenate([ahead, np.flatnonzero(tied)[: kk - ahead.size]])
+
+
+def check_field_types(obj) -> None:
+    """Raise ValueError unless each dataclass field of ``obj`` has its default's type.
+
+    Bools are bools, ints are non-bool ints, floats are ints or finite floats
+    and tuples are nonempty tuples of positive ints.
+    """
+    for f in dataclasses.fields(obj):
+        default = f.default_factory() if f.default is dataclasses.MISSING else f.default
+        value, kind = getattr(obj, f.name), type(default)
+        is_int = isinstance(value, int) and not isinstance(value, bool)
+        if kind is bool:
+            ok = isinstance(value, bool)
+        elif kind is int:
+            ok = is_int
+        elif kind is float:
+            ok = is_int or (isinstance(value, float) and math.isfinite(value))
+        elif kind is tuple:
+            ok = isinstance(value, tuple) and len(value) > 0
+            ok = ok and all(type(w) is int and w > 0 for w in value)
+        else:
+            ok = isinstance(value, kind)
+        if not ok:
+            raise ValueError(f"{f.name}={value!r} is not a valid {kind.__name__}")
 
 
 def check_unit_rows(m: np.ndarray, what: str, tol: float = 1e-6) -> None:

@@ -34,8 +34,7 @@ class MiningConfig:
     a: float = 0.5
 
     def __post_init__(self):
-        if self.a < 0:
-            raise ValueError(f"a must be nonnegative, got {self.a}")
+        _check_density(self.a)
 
 
 @dataclass
@@ -47,10 +46,14 @@ class MinedNegativeSet:
     probs: NDArray[np.float64]
 
 
+def _check_density(a: float) -> None:
+    if not (np.isfinite(a) and a >= 0):
+        raise ValueError(f"a must be finite and nonnegative, got {a}")
+
+
 def mining_probability(s_neg, s_pos, a: float):
     """p = exp(-a * (s_neg - s_pos)**2), elementwise on array input."""
-    if a < 0:
-        raise ValueError(f"a must be nonnegative, got {a}")
+    _check_density(a)
     d = np.asarray(s_neg, dtype=np.float64) - np.asarray(s_pos, dtype=np.float64)
     p = np.exp(-a * d * d)
     if np.ndim(p) == 0:
@@ -72,8 +75,7 @@ def mine_mask(
     single candidate with the largest probability (first on ties), so the
     retained set is nonempty whenever the candidate set is.
     """
-    if a < 0.0:
-        raise ValueError(f"a must be nonnegative, got {a}")
+    _check_density(a)
     sims_flat = np.ascontiguousarray(sims_flat, dtype=np.float64)
     s_pos = np.ascontiguousarray(s_pos, dtype=np.float64)
     off = np.ascontiguousarray(off, dtype=np.int64)

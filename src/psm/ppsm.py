@@ -25,24 +25,12 @@ from typing import Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .memory_bank import MinedNeighborSet
 from .numerics import check_unit_rows, softmax
 
 STRATEGIES = ("V0", "V1", "V2", "V3", "V4")
 
 WEIGHT_SPAN_WITH_VIEW = "with_view"
 WEIGHT_SPAN_MINED_ONLY = "mined_only"
-
-
-@dataclass
-class WeightVector:
-    """Per-neighbor loss weights w0..wk plus the strategy that produced them.
-
-    ``weights`` is one row, or a (rows, k+1) matrix with one row per query.
-    """
-
-    weights: NDArray[np.float64]
-    strategy: str = "V0"
 
 
 @dataclass
@@ -56,53 +44,51 @@ class LossOutput:
 
 
 def soft_weights(
-    z1: np.ndarray,
-    neighbors: MinedNeighborSet,
-    span: str = WEIGHT_SPAN_WITH_VIEW,
-) -> WeightVector:
-    """Softmax weights over s(z1, NN(z2)_i), no temperature.
+    z1: np.ndarray, members: np.ndarray, span: str = WEIGHT_SPAN_WITH_VIEW
+) -> NDArray[np.float64]:
+    """Softmax weights over s(z1_b, member_bp), no temperature.
 
-    With the default span the softmax runs over all k+1 members, so the
-    weights form a simplex. Under ``mined_only`` the softmax covers members
-    1..k and w0 is pinned to 1.
+    ``z1`` holds one unit row per query, (B, d); ``members`` holds each
+    query's view and its k mined neighbors, (B, k+1, d). Returns (B, k+1).
+    With the default span the softmax runs over all k+1 members, so every
+    row is a simplex. Under ``mined_only`` the softmax covers members 1..k
+    and w0 is pinned to 1.
     """
-    z1 = np.asarray(z1, dtype=np.float64).reshape(-1)
-    check_unit_rows(z1[None, :], "z1")
-    if neighbors.members.shape[0] == 0:
-        raise ValueError("neighbor set is empty")
-    sims = neighbors.members @ z1
-    if span == WEIGHT_SPAN_WITH_VIEW:
-        w = softmax(sims)
-    elif span == WEIGHT_SPAN_MINED_ONLY:
-        w = np.ones(len(sims))
-        if len(sims) > 1:
-            w[1:] = softmax(sims[1:])
-    else:
+    if span not in (WEIGHT_SPAN_WITH_VIEW, WEIGHT_SPAN_MINED_ONLY):
         raise ValueError(f"unknown weight span {span!r}")
-    return WeightVector(weights=w, strategy="V0")
+    z1 = np.asarray(z1, dtype=np.float64)
+    members = np.asarray(members, dtype=np.float64)
+    if members.ndim != 3 or members.shape[1] == 0:
+        raise ValueError(f"members must be (B, k+1, d), got {members.shape}")
+    if z1.shape != (members.shape[0], members.shape[2]):
+        raise ValueError(f"z1 {z1.shape} does not fit members {members.shape}")
+    check_unit_rows(z1, "z1")
+    sims = np.einsum("bd,bpd->bp", z1, members)
+    if span == WEIGHT_SPAN_WITH_VIEW:
+        return softmax(sims)
+    weights = np.ones_like(sims)
+    if sims.shape[1] > 1:
+        weights[:, 1:] = softmax(sims[:, 1:])
+    return weights
 
 
-def apply_weight_strategy(w: WeightVector, strategy: str, k: int) -> WeightVector:
-    """Reshape V0 weights per the ablation strategies V0..V4.
+def apply_weight_strategy(
+    weights: np.ndarray, strategy: str, k: int
+) -> NDArray[np.float64]:
+    """A new array of V0 weights reshaped per the ablation strategies V0..V4.
 
-    ``w.weights`` is one row of k+1 weights or a (rows, k+1) matrix, one
-    row per query; every row is treated on its own. ``k`` is the
-    mined-neighbor count defining the V1 threshold 1/k; the filter applies
-    to all k+1 entries, index 0 included. With k = 0 there is nothing to
-    threshold and the weights pass through untouched (V4 still pins
-    everything to 1).
+    ``weights`` is one row of k+1 weights or a (rows, k+1) matrix, each row
+    treated on its own. ``k`` is the mined-neighbor count defining the V1
+    threshold 1/k, which applies to all k+1 entries, index 0 included. With
+    k = 0 the weights pass through untouched (V4 still pins them to 1).
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
-    if w.strategy != "V0":
-        raise ValueError("strategies must be applied to raw V0 weights")
-    weights = np.asarray(w.weights, dtype=np.float64).copy()
-    if strategy == "V0":
-        return WeightVector(weights=weights, strategy="V0")
+    weights = np.asarray(weights, dtype=np.float64).copy()
     if strategy == "V4":
-        return WeightVector(weights=np.ones_like(weights), strategy="V4")
-    if k == 0:
-        return WeightVector(weights=weights, strategy=strategy)
+        return np.ones_like(weights)
+    if strategy == "V0" or k == 0:
+        return weights
     survivors = weights >= 1.0 / k
     weights[~survivors] = 0.0
     if strategy == "V2":
@@ -111,7 +97,7 @@ def apply_weight_strategy(w: WeightVector, strategy: str, k: int) -> WeightVecto
         weights = np.where(survivors, 1.0 / np.maximum(n_surv, 1), weights)
     elif strategy == "V3":
         weights[survivors] = 1.0
-    return WeightVector(weights=weights, strategy=strategy)
+    return weights
 
 
 # Weighted NCE loss + gradient, ragged over both positives and negatives.
@@ -288,72 +274,48 @@ def hard_loss(
 ) -> LossOutput:
     """One-positive contrastive loss against the query's own view.
 
-    Args:
-        q1: (B, d) raw predictions; normalized internally, and the returned
-            gradient is with respect to these raw rows.
-        z2: (B, d) unit target views, one positive per query.
-        negatives: per-query arrays of unit negative rows; any subset of
-            the full batch negatives (a mined set is fine), possibly empty.
-        t: temperature.
-        w0: weight on the positive term.
+    The soft loss with each query's unit target view z2 (B, d) as its only
+    member, weighted w0. ``q1`` holds the (B, d) raw predictions; the
+    gradient is with respect to these rows. ``negatives`` holds per-query
+    arrays of unit rows, any subset of the batch negatives, possibly empty.
     """
-    q1 = np.asarray(q1, dtype=np.float64)
     z2 = np.asarray(z2, dtype=np.float64)
-    if t <= 0:
-        raise ValueError(f"temperature must be positive, got {t}")
-    if q1.shape != z2.shape:
-        raise ValueError(f"q1 {q1.shape} and z2 {z2.shape} must match")
-    if len(negatives) != q1.shape[0]:
-        raise ValueError("one negative set per query required")
-    check_unit_rows(z2, "z2")
-    bsz, dim = q1.shape
-    cands, neg_idx, neg_off = _pack_negatives(negatives, dim)
-    pos_off = np.arange(bsz + 1, dtype=np.int64)
-    w_flat = np.full(bsz, float(w0))
-    return weighted_nce_csr(q1, z2, w_flat, pos_off, cands, neg_idx, neg_off, t)
+    return soft_loss(q1, z2[:, None], np.full((len(z2), 1), float(w0)), negatives, t)
 
 
 def soft_loss(
     q1: np.ndarray,
-    neighbor_sets: Sequence[MinedNeighborSet],
-    weights: Sequence[WeightVector],
+    members: np.ndarray,
+    weights: np.ndarray,
     negative_sets: Sequence[np.ndarray],
     t: float,
 ) -> LossOutput:
     """Weighted multi-positive loss over each query's mined neighbor set.
 
-    Every member of a query's neighbor set appears in both the numerator
-    (weighted by its w_i) and the shared denominator, alongside that
-    query's negatives.
+    ``members`` (B, k+1, d) holds each query's view and mined neighbors as
+    unit rows, ``weights`` (B, k+1) their nonnegative weights. Every member
+    sits in the numerator, weighted, and in the shared denominator beside
+    that query's negatives.
     """
     q1 = np.asarray(q1, dtype=np.float64)
-    if t <= 0:
-        raise ValueError(f"temperature must be positive, got {t}")
+    members = np.asarray(members, dtype=np.float64)
+    weights = np.asarray(weights, dtype=np.float64)
     bsz, dim = q1.shape
-    if not (len(neighbor_sets) == len(weights) == bsz):
-        raise ValueError("need one neighbor set and one weight vector per query")
-    pos_rows = []
-    w_rows = []
-    pos_off = np.zeros(bsz + 1, dtype=np.int64)
-    for i, (ns, wv) in enumerate(zip(neighbor_sets, weights)):
-        members = np.asarray(ns.members, dtype=np.float64)
-        wvec = np.asarray(wv.weights, dtype=np.float64)
-        if members.shape[0] != wvec.shape[0]:
-            raise ValueError(
-                f"query {i}: {members.shape[0]} members but {wvec.shape[0]} weights"
-            )
-        if members.shape[1] != dim:
-            raise ValueError(f"query {i}: member dim {members.shape[1]} != {dim}")
-        check_unit_rows(members, f"neighbor set {i}")
-        if np.any(wvec < 0):
-            raise ValueError(f"query {i}: negative weights")
-        pos_rows.append(members)
-        w_rows.append(wvec)
-        pos_off[i + 1] = pos_off[i] + members.shape[0]
-    pos_flat = np.concatenate(pos_rows, axis=0)
-    w_flat = np.concatenate(w_rows)
+    if members.ndim != 3 or members.shape[0] != bsz or members.shape[2] != dim:
+        raise ValueError(f"members {members.shape} do not fit queries {q1.shape}")
+    if weights.shape != members.shape[:2]:
+        raise ValueError(f"weights {weights.shape} do not fit members {members.shape}")
+    if len(negative_sets) != bsz:
+        raise ValueError("one negative set per query required")
+    pos_flat = members.reshape(-1, dim)
+    check_unit_rows(pos_flat, "members")
+    if np.any(weights < 0):
+        raise ValueError("negative weights")
     cands, neg_idx, neg_off = _pack_negatives(negative_sets, dim)
-    return weighted_nce_csr(q1, pos_flat, w_flat, pos_off, cands, neg_idx, neg_off, t)
+    pos_off = np.arange(bsz + 1, dtype=np.int64) * members.shape[1]
+    return weighted_nce_csr(
+        q1, pos_flat, weights.reshape(-1), pos_off, cands, neg_idx, neg_off, t
+    )
 
 
 def psm_loss(soft: LossOutput, hard: LossOutput, lam: float) -> LossOutput:

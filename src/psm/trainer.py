@@ -28,7 +28,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .data import AugmentPolicy, Dataset, two_views
-from .diagnostics import knn_probe
+from .diagnostics import knn_probe, purity
 from .memory_bank import MemoryBank, query_topk_batch
 from .network import (
     NetworkConfig,
@@ -45,16 +45,16 @@ from .network import (
     lr_at,
     sgd_step,
 )
-from .numerics import RngState
+from .numerics import RngState, check_field_types
 from .pnsm import MiningConfig, filter_csr
 from .ppsm import (
     STRATEGIES,
     LossOutput,
     WEIGHT_SPAN_MINED_ONLY,
     WEIGHT_SPAN_WITH_VIEW,
-    WeightVector,
     apply_weight_strategy,
     psm_loss,
+    soft_weights,
     weighted_nce_csr,
 )
 
@@ -97,6 +97,7 @@ class TrainConfig:
     probe_knn: int = 20
 
     def validate(self) -> None:
+        check_field_types(self)
         if self.t <= 0:
             raise ValueError("temperature must be positive")
         if self.batch_size < 2:
@@ -160,11 +161,6 @@ class _StepEval:
     purity_top1: float | None
     purity_topk: float | None
     retained_mean: float
-
-
-def _row_softmax(scores: np.ndarray) -> np.ndarray:
-    e = np.exp(scores - scores.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
 
 
 def _zero_loss(bsz: int, dim: int) -> LossOutput:
@@ -248,18 +244,8 @@ def _psm_pass(
     members, nb_idx, _, k_eff = query_topk_batch(bank, pos_view, cfg.k)
     p_count = k_eff + 1
     dim = members.shape[2]
-
-    wsims = np.einsum("bd,bpd->bp", z1, members)
-    if cfg.weight_span == WEIGHT_SPAN_WITH_VIEW:
-        weights = _row_softmax(wsims)
-    else:
-        weights = np.ones_like(wsims)
-        if p_count > 1:
-            weights[:, 1:] = _row_softmax(wsims[:, 1:])
-    if cfg.strategy != "V0":
-        weights = apply_weight_strategy(
-            WeightVector(weights), cfg.strategy, k_eff
-        ).weights
+    weights = soft_weights(z1, members, cfg.weight_span)
+    weights = apply_weight_strategy(weights, cfg.strategy, k_eff)
 
     hard = _zero_loss(bsz, dim)
     soft = _zero_loss(bsz, dim)
@@ -282,9 +268,7 @@ def _psm_pass(
 
     purity_top1 = purity_topk = None
     if k_eff > 0 and bank.has_labels:
-        mined = bank.labels_at(nb_idx)
-        purity_top1 = float(np.mean(mined[:, 0] == labels))
-        purity_topk = float(np.mean(mined == labels[:, None]))
+        purity_top1, purity_topk = purity(bank.labels_at(nb_idx), labels)
 
     return _StepEval(
         loss=total.value,

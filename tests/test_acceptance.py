@@ -17,7 +17,7 @@ from conftest import DESK_ARGS
 from psm import cli
 from psm.data import gen_clusters
 from psm.diagnostics import gradient_profile
-from psm.memory_bank import MemoryBank, MinedNeighborSet, query_topk
+from psm.memory_bank import MemoryBank, query_topk
 from psm.network import (
     NetworkConfig,
     OptimizerState,
@@ -33,7 +33,6 @@ from psm.network import (
 from psm.numerics import RngState, l2_normalize_rows, softmax
 from psm.pnsm import MiningConfig, filter_csr, mine_negatives, mining_probability
 from psm.ppsm import (
-    WeightVector,
     apply_weight_strategy,
     hard_loss,
     psm_loss,
@@ -77,20 +76,16 @@ def _loss_instance(seed: int):
     lam = 1.0 + (seed % 3) * 0.75
     q = rng.split("q").normal((n, d))
     z2 = l2_normalize_rows(rng.split("z2").normal((n, d)))
-    neighbor_sets, weights, soft_negs, hard_negs = [], [], [], []
+    members, weights, soft_negs, hard_negs = [], [], [], []
     for i in range(n):
         extra = (
             l2_normalize_rows(rng.split("m", i).normal((k, d)))
             if k
             else np.zeros((0, d))
         )
-        members = np.concatenate([z2[i][None, :], extra], axis=0)
-        sims = np.concatenate([[1.0], extra @ z2[i]])
-        neighbor_sets.append(
-            MinedNeighborSet(i, members, np.arange(k, dtype=np.int64), sims)
-        )
+        members.append(np.concatenate([z2[i][None, :], extra], axis=0))
         raw_w = rng.split("w", i).uniform(k + 1) + 0.1
-        weights.append(WeightVector(raw_w / raw_w.sum()))
+        weights.append(raw_w / raw_w.sum())
         n_negs = (seed + i) % 5
         for pool in (soft_negs, hard_negs):
             tag = "sn" if pool is soft_negs else "hn"
@@ -114,7 +109,7 @@ def _loss_instance(seed: int):
                     query_id=i,
                 )
                 pool[i] = pool[i][mined.kept]
-    return q, z2, neighbor_sets, weights, soft_negs, hard_negs, t, lam
+    return q, z2, np.stack(members), np.stack(weights), soft_negs, hard_negs, t, lam
 
 
 def test_criterion_01_loss_gradients_match_finite_differences():
@@ -174,16 +169,12 @@ def test_criterion_02_parameter_gradients_match_finite_differences():
         sets, weights, s_negs, h_negs = [], [], [], []
         for i in range(6):
             extra = l2_normalize_rows(rng.split("m", i).normal((k, d_out)))
-            members = np.concatenate([z2[i][None, :], extra], axis=0)
-            sets.append(
-                MinedNeighborSet(
-                    i, members, np.arange(k, dtype=np.int64), np.ones(k + 1)
-                )
-            )
+            sets.append(np.concatenate([z2[i][None, :], extra], axis=0))
             raw_w = rng.split("w", i).uniform(k + 1) + 0.1
-            weights.append(WeightVector(raw_w / raw_w.sum()))
+            weights.append(raw_w / raw_w.sum())
             s_negs.append(l2_normalize_rows(rng.split("sn", i).normal((3, d_out))))
             h_negs.append(l2_normalize_rows(rng.split("hn", i).normal((3, d_out))))
+        sets, weights = np.stack(sets), np.stack(weights)
 
         def loss_at(p):
             _, q1, _ = forward_online(p, x, train=True)
@@ -255,18 +246,17 @@ def test_criterion_04_weight_simplex_and_strategy_rules():
         rng = RngState(4000 + i)
         d = 3 + i % 6
         k = 1 + i % 5
-        z1 = l2_normalize_rows(rng.split("z").normal((1, d)))[0]
+        z1 = l2_normalize_rows(rng.split("z").normal((1, d)))
         members = l2_normalize_rows(rng.split("m").normal((k + 1, d)))
-        ns = MinedNeighborSet(0, members, np.arange(k, dtype=np.int64), np.ones(k + 1))
-        worst = max(worst, abs(float(soft_weights(z1, ns).weights.sum()) - 1.0))
-    v = RngState(4999).normal(6)
+        worst = max(worst, abs(float(soft_weights(z1, members[None]).sum()) - 1.0))
+    v = RngState(4999).normal((1, 6))
     shift_gap = float(np.abs(softmax(v) - softmax(v + 17.25)).max())
-    base = WeightVector(np.array([0.5, 0.3, 0.2]))
+    base = np.array([0.5, 0.3, 0.2])
     rules_ok = (
-        np.allclose(apply_weight_strategy(base, "V1", 2).weights, [0.5, 0.0, 0.0])
-        and np.allclose(apply_weight_strategy(base, "V2", 2).weights, [1.0, 0.0, 0.0])
-        and np.allclose(apply_weight_strategy(base, "V3", 2).weights, [1.0, 0.0, 0.0])
-        and np.array_equal(apply_weight_strategy(base, "V4", 2).weights, [1.0, 1.0, 1.0])
+        np.allclose(apply_weight_strategy(base, "V1", 2), [0.5, 0.0, 0.0])
+        and np.allclose(apply_weight_strategy(base, "V2", 2), [1.0, 0.0, 0.0])
+        and np.allclose(apply_weight_strategy(base, "V3", 2), [1.0, 0.0, 0.0])
+        and np.array_equal(apply_weight_strategy(base, "V4", 2), [1.0, 1.0, 1.0])
     )
     _report(
         "4",

@@ -148,6 +148,10 @@ class TestPretrain:
         assert echo["augment"]["sigma"] == 0.3
 
 
+# A run that would train cleanly: one epoch, no warmup, a batch that fits.
+_SMALL = ["--synthetic", SYN, "--batch", "16", "--epochs", "1", "--warmup", "0"]
+
+
 class TestExitCodes:
     @pytest.mark.parametrize(
         "extra, config",
@@ -156,8 +160,23 @@ class TestExitCodes:
             (["--synthetic", "c4,d8,n8,sep6", "--batch", "64", "--epochs", "2",
               "--warmup", "0"], {}),
             (["--synthetic", SYN], {"probe_knn": 0}),
+            ([*_SMALL, "--a", "nan"], {}),
+            ([*_SMALL, "--t", "nan"], {}),
+            ([*_SMALL, "--lambda", "nan"], {}),
+            (["--synthetic", "c3,d8,n16,sepnan", *_SMALL[2:]], {}),
+            (_SMALL, {"aug_sigma": float("nan")}),
+            (_SMALL, {"peak_lr": float("nan")}),
+            (["--synthetic", SYN, "--batch", "16", "--warmup", "0"], {"epochs": 2.5}),
+            (["--synthetic", SYN, "--epochs", "1", "--warmup", "0"], {"batch_size": "16"}),
+            (_SMALL, {"t": "0.5"}),
+            (_SMALL, {"encoder": 5}),
+            (_SMALL, {"use_pnsm": "no"}),
         ],
-        ids=["k0_no_hard", "batch_exceeds_rows", "probe_knn_0"],
+        ids=[
+            "k0_no_hard", "batch_exceeds_rows", "probe_knn_0", "a_nan", "t_nan",
+            "lambda_nan", "sep_nan", "aug_sigma_nan", "peak_lr_nan", "epochs_float",
+            "batch_size_str", "t_str", "encoder_int", "use_pnsm_str",
+        ],
     )
     def test_validation_failure_precedes_writes(self, tmp_path, extra, config):
         cfg = tmp_path / "cfg.json"
@@ -488,6 +507,15 @@ class TestMine:
             for v in lines[0].split("probs=[")[1].rstrip("]").split(",")
         ]
         assert probs == [1.0] * 5
+
+    @pytest.mark.parametrize("a", ["nan", "inf", "-1"])
+    def test_bad_density_is_config_error(self, bank_and_queries, capsys, a):
+        bank_path, query_path = bank_and_queries
+        argv = ["mine", "--bank", str(bank_path), "--query", str(query_path)]
+        code = cli.main([*argv, "--mode", "negative", "--a", a])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == "" and "a must be finite" in captured.err
 
     def test_dim_mismatch_is_data_error(self, bank_and_queries, tmp_path):
         bank_path, _ = bank_and_queries

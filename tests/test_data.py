@@ -72,6 +72,8 @@ class TestGenClusters:
             dict(classes=3, n_per_class=4, dim=1, separation=4.0),
             dict(classes=3, n_per_class=0, dim=8, separation=4.0),
             dict(classes=3, n_per_class=4, dim=8, separation=0.0),
+            dict(classes=3, n_per_class=4, dim=8, separation=float("nan")),
+            dict(classes=3, n_per_class=4, dim=8, separation=float("inf")),
         ],
     )
     def test_invalid_parameters(self, kwargs):
@@ -120,6 +122,11 @@ class TestTwoViews:
             dict(dropout=-0.1),
             dict(scale_lo=0.0),
             dict(scale_lo=1.5, scale_hi=1.0),
+            dict(sigma=float("nan")),
+            dict(dropout=float("nan")),
+            dict(scale_hi=float("inf")),
+            dict(sigma="0.3"),
+            dict(dropout=True),
         ],
     )
     def test_policy_validation(self, kwargs):

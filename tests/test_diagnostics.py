@@ -3,7 +3,6 @@ import pytest
 
 from psm.diagnostics import (
     GradientProfile,
-    PurityReport,
     bce_gradient_coefficient,
     gradient_profile,
     knn_probe,
@@ -16,34 +15,40 @@ from psm.memory_bank import MemoryBank
 from psm.numerics import RngState, l2_normalize_rows
 
 
+def _reference_purity(mined_labels, query_labels):
+    """Top-k purity as the per-query code computed it: a mean of per-query means."""
+    fractions = [np.mean(np.asarray(got) == want) for got, want in zip(mined_labels, query_labels)]
+    return float(np.mean(fractions))
+
+
 class TestPurity:
     def test_hand_worked_batch(self):
-        report = purity([[1, 1, 0], [2, 2, 2]], np.array([1, 2]))
-        assert report.k == 3
-        assert report.values == [pytest.approx(5 / 6)]
-
-    def test_empty_mined_lists_are_skipped(self):
-        report = purity([[1, 1], [], [2]], np.array([1, 9, 2]))
-        assert report.values == [pytest.approx(1.0)]
-        assert report.k == 2
-
-    def test_all_empty_yields_no_value(self):
-        report = purity([[], []], np.array([0, 1]))
-        assert report.values == []
-        assert np.isnan(report.epoch_mean)
+        top1, topk = purity(np.array([[1, 1, 0], [0, 2, 2]]), np.array([1, 2]))
+        assert top1 == 0.5
+        assert topk == pytest.approx(4 / 6, abs=1e-15)
 
     def test_arity_mismatch(self):
-        with pytest.raises(ValueError, match="mined lists"):
-            purity([[1], [2]], np.array([0, 1, 2]))
+        with pytest.raises(ValueError, match="queries"):
+            purity(np.array([[1], [2]]), np.array([0, 1, 2]))
 
-    def test_explicit_k_overrides_widest(self):
-        assert purity([[1]], np.array([1]), k=7).k == 7
+    def test_empty_mined_rows_rejected(self):
+        with pytest.raises(ValueError):
+            purity(np.zeros((2, 0), dtype=np.int64), np.array([0, 1]))
 
-    def test_report_accumulates(self):
-        report = PurityReport(k=5)
-        report.add(0.5)
-        report.add(1.0)
-        assert report.epoch_mean == pytest.approx(0.75)
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_matches_mean_of_per_query_means(self, k):
+        for seed in range(20):
+            rng = RngState(100 * k + seed)
+            bsz = 1 + int(rng.integers(1, 40))
+            labels = rng.integers(0, 4, size=bsz)
+            mined = rng.integers(0, 4, size=(bsz, k))
+            top1, topk = purity(mined, labels)
+            assert top1 == float(np.mean([row[0] == y for row, y in zip(mined, labels)]))
+            want = _reference_purity(list(mined), labels)
+            if k == 1:
+                assert topk == want
+            else:
+                assert abs(topk - want) <= 1e-15
 
 
 class TestBceCoefficient:

@@ -58,31 +58,40 @@ class TestNormalize:
 
 class TestSoftmax:
     def test_uniform_on_equal_scores(self):
-        np.testing.assert_allclose(softmax(np.zeros(4)), np.full(4, 0.25), atol=1e-15)
+        np.testing.assert_allclose(
+            softmax(np.zeros((2, 4))), np.full((2, 4), 0.25), atol=1e-15
+        )
 
     def test_log3_gap(self):
-        w = softmax(np.array([np.log(3.0) - 0.2, -0.2]))
-        np.testing.assert_allclose(w, [0.75, 0.25], atol=1e-12)
+        w = softmax(np.array([[np.log(3.0) - 0.2, -0.2]]))
+        np.testing.assert_allclose(w, [[0.75, 0.25]], atol=1e-12)
+
+    def test_rows_are_independent(self):
+        w = softmax(np.array([[0.0, 0.0], [np.log(3.0), 0.0], [5.0, 5.0]]))
+        np.testing.assert_allclose(w, [[0.5, 0.5], [0.75, 0.25], [0.5, 0.5]], atol=1e-15)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            softmax(np.array([]))
+            softmax(np.zeros((1, 0)))
+        with pytest.raises(ValueError):
+            softmax(np.zeros(3))  # one row must be passed as a (1, n) matrix
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
-            softmax(np.array([1.0, np.nan]))
+            softmax(np.array([[1.0, np.nan]]))
 
     @given(st.lists(st.floats(-50, 50), min_size=1, max_size=12))
     def test_simplex_and_shift_invariance(self, scores):
         v = np.array(scores, dtype=np.float64)
-        w = softmax(v)
-        assert abs(w.sum() - 1.0) <= 1e-12
+        rows = np.stack([v, v[::-1] - 3.0])
+        w = softmax(rows)
+        np.testing.assert_allclose(w.sum(axis=1), 1.0, rtol=0, atol=1e-12)
         assert np.all(w > 0)
-        np.testing.assert_allclose(softmax(v + 17.25), w, atol=1e-12)
+        np.testing.assert_allclose(softmax(rows + 17.25), w, atol=1e-12)
 
     def test_extreme_scores_stable(self):
-        w = softmax(np.array([1000.0, 0.0]))
-        assert np.isfinite(w).all() and w[0] == pytest.approx(1.0)
+        w = softmax(np.array([[1000.0, 0.0]]))
+        assert np.isfinite(w).all() and w[0, 0] == pytest.approx(1.0)
 
 
 class TestTopK:

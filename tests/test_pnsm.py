@@ -35,6 +35,11 @@ class TestMiningProbability:
         with pytest.raises(ValueError):
             mining_probability(0.0, 0.0, -1.0)
 
+    @pytest.mark.parametrize("a", [float("nan"), float("inf")])
+    def test_non_finite_a_rejected(self, a):
+        with pytest.raises(ValueError):
+            mining_probability(0.0, 0.0, a)
+
     def test_symmetry_in_gap(self):
         assert mining_probability(0.2, 0.5, 1.3) == pytest.approx(
             mining_probability(0.8, 0.5, 1.3), abs=1e-15
@@ -101,6 +106,11 @@ class TestMiningConfig:
         with pytest.raises(ValueError):
             MiningConfig(a=-0.1)
 
+    @pytest.mark.parametrize("a", [float("nan"), float("inf")])
+    def test_non_finite_a_rejected(self, a):
+        with pytest.raises(ValueError):
+            MiningConfig(a=a)
+
 class TestFilterCsr:
     def test_a_zero_keeps_everything(self):
         sims = np.array([0.1, -0.9, 0.5, 0.3])
@@ -133,3 +143,9 @@ class TestMineMask:
         off = np.array([0, 2], dtype=np.int64)
         with pytest.raises(ValueError):
             mine_mask(np.zeros(2), np.zeros(1), off, 1.0, np.zeros(3))
+
+    @pytest.mark.parametrize("a", [-1.0, float("nan"), float("inf")])
+    def test_bad_a_rejected(self, a):
+        off = np.array([0, 2], dtype=np.int64)
+        with pytest.raises(ValueError):
+            mine_mask(np.zeros(2), np.zeros(1), off, a, np.zeros(2))

@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from psm.memory_bank import MinedNeighborSet
 from psm.numerics import RngState, l2_normalize_rows
 from psm.ppsm import (
     STRATEGIES,
     WEIGHT_SPAN_MINED_ONLY,
+    WEIGHT_SPAN_WITH_VIEW,
     LossOutput,
-    WeightVector,
     apply_weight_strategy,
     hard_loss,
     nce_loss_grad,
@@ -17,100 +16,148 @@ from psm.ppsm import (
 )
 
 
-def _neighbors(members, query_id=0):
-    members = np.asarray(members, dtype=np.float64)
-    return MinedNeighborSet(
-        query_id=query_id,
-        members=members,
-        bank_indices=np.arange(max(members.shape[0] - 1, 0), dtype=np.int64),
-        sims=np.ones(members.shape[0]),
-    )
-
-
 def _vec_with_sim(s):
     """Unit 2-vector whose dot product with (1, 0) equals s."""
     return np.array([s, np.sqrt(1.0 - s * s)])
 
 
+def _one(z1, members, span=WEIGHT_SPAN_WITH_VIEW):
+    """Weights of a single query: z1 (d,), members (p, d)."""
+    return soft_weights(np.asarray(z1)[None, :], np.asarray(members)[None], span)[0]
+
+
 class TestSoftWeights:
     def test_equal_similarities_uniform(self):
         z1 = np.array([1.0, 0.0])
-        ns = _neighbors([z1, z1, z1])
-        np.testing.assert_allclose(
-            soft_weights(z1, ns).weights, np.full(3, 1 / 3), atol=1e-15
-        )
+        np.testing.assert_allclose(_one(z1, [z1, z1, z1]), np.full(3, 1 / 3), atol=1e-15)
 
     def test_softmax_oracle_log3_gap(self):
         # similarities 0.6 and 0.6 - ln 3 produce weights (0.75, 0.25)
         z1 = np.array([1.0, 0.0])
-        ns = _neighbors([_vec_with_sim(0.6), _vec_with_sim(0.6 - np.log(3.0))])
-        np.testing.assert_allclose(
-            soft_weights(z1, ns).weights, [0.75, 0.25], atol=1e-12
-        )
+        members = [_vec_with_sim(0.6), _vec_with_sim(0.6 - np.log(3.0))]
+        np.testing.assert_allclose(_one(z1, members), [0.75, 0.25], atol=1e-12)
 
     def test_cold_bank_single_member(self):
         z1 = np.array([1.0, 0.0])
-        w = soft_weights(z1, _neighbors([z1]))
-        np.testing.assert_array_equal(w.weights, [1.0])
-        assert w.strategy == "V0"
+        np.testing.assert_array_equal(_one(z1, [z1]), [1.0])
 
     def test_mined_only_pins_view_weight(self):
         z1 = np.array([1.0, 0.0])
-        ns = _neighbors([z1, _vec_with_sim(0.3), _vec_with_sim(0.3)])
-        w = soft_weights(z1, ns, span=WEIGHT_SPAN_MINED_ONLY)
-        assert w.weights[0] == 1.0
-        np.testing.assert_allclose(w.weights[1:], [0.5, 0.5], atol=1e-12)
+        members = [z1, _vec_with_sim(0.3), _vec_with_sim(0.3)]
+        w = _one(z1, members, span=WEIGHT_SPAN_MINED_ONLY)
+        assert w[0] == 1.0
+        np.testing.assert_allclose(w[1:], [0.5, 0.5], atol=1e-12)
 
     def test_empty_neighbors_rejected(self):
         with pytest.raises(ValueError):
-            soft_weights(np.array([1.0, 0.0]), _neighbors(np.zeros((0, 2))))
+            _one(np.array([1.0, 0.0]), np.zeros((0, 2)))
 
     def test_unknown_span_rejected(self):
         z1 = np.array([1.0, 0.0])
         with pytest.raises(ValueError):
-            soft_weights(z1, _neighbors([z1]), span="everything")
+            _one(z1, [z1], span="everything")
+
+    def test_misaligned_shapes_rejected(self):
+        z1 = np.eye(2)
+        with pytest.raises(ValueError):
+            soft_weights(z1, np.ones((3, 2, 2)) / np.sqrt(2.0))
+        with pytest.raises(ValueError):
+            soft_weights(z1, np.ones((2, 2)))
+
+
+def _reference_softmax(v):
+    e = np.exp(v - v.max())
+    return e / e.sum()
+
+
+def _reference_soft_weights(z1, members, span):
+    """One query's weights as the per-query code computed them: z1 (d,), members (p, d)."""
+    sims = members @ z1
+    if span == WEIGHT_SPAN_WITH_VIEW:
+        return _reference_softmax(sims)
+    w = np.ones(len(sims))
+    if len(sims) > 1:
+        w[1:] = _reference_softmax(sims[1:])
+    return w
+
+
+def _reference_strategy(w, strategy, k):
+    """V0..V4 on one row of weights, entry by entry."""
+    if strategy == "V4":
+        return np.ones_like(w)
+    if strategy == "V0" or k == 0:
+        return w.copy()
+    kept = [x >= 1.0 / k for x in w]
+    out = []
+    for x, keep in zip(w, kept):
+        if not keep:
+            out.append(0.0)
+        else:
+            out.append({"V1": x, "V2": 1.0 / sum(kept), "V3": 1.0}[strategy])
+    return np.array(out)
+
+
+class TestBatchedWeightsMatchReference:
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("span", [WEIGHT_SPAN_WITH_VIEW, WEIGHT_SPAN_MINED_ONLY])
+    def test_every_row_matches_the_per_query_code(self, span, strategy):
+        for k_eff in range(7):
+            rng = RngState(7000 + k_eff)
+            bsz, d = 3 + k_eff, 2 + 2 * k_eff
+            z1 = l2_normalize_rows(rng.split("z1").normal((bsz, d)))
+            flat = l2_normalize_rows(rng.split("m").normal((bsz * (k_eff + 1), d)))
+            members = flat.reshape(bsz, k_eff + 1, d)
+            # the first two rows mine z1 itself, so V1..V3 keep a survivor there
+            members[:2, -1] = z1[:2]
+            got = apply_weight_strategy(soft_weights(z1, members, span), strategy, k_eff)
+            want = np.stack(
+                [
+                    _reference_strategy(
+                        _reference_soft_weights(z1[i], members[i], span), strategy, k_eff
+                    )
+                    for i in range(bsz)
+                ]
+            )
+            assert got.shape == (bsz, k_eff + 1)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
 
 
 class TestStrategies:
     BASE = np.array([0.5, 0.3, 0.2])
 
     def _apply(self, strategy):
-        return apply_weight_strategy(WeightVector(self.BASE.copy()), strategy, k=2)
+        return apply_weight_strategy(self.BASE.copy(), strategy, k=2)
 
     def test_v0_untouched(self):
-        np.testing.assert_array_equal(self._apply("V0").weights, self.BASE)
+        np.testing.assert_array_equal(self._apply("V0"), self.BASE)
 
     def test_v1_thresholds_at_inverse_k(self):
-        np.testing.assert_array_equal(self._apply("V1").weights, [0.5, 0.0, 0.0])
+        np.testing.assert_array_equal(self._apply("V1"), [0.5, 0.0, 0.0])
 
     def test_v2_uniform_over_survivors(self):
-        np.testing.assert_array_equal(self._apply("V2").weights, [1.0, 0.0, 0.0])
+        np.testing.assert_array_equal(self._apply("V2"), [1.0, 0.0, 0.0])
 
     def test_v3_survivors_to_one(self):
-        np.testing.assert_array_equal(self._apply("V3").weights, [1.0, 0.0, 0.0])
+        np.testing.assert_array_equal(self._apply("V3"), [1.0, 0.0, 0.0])
 
     def test_v4_all_ones(self):
-        np.testing.assert_array_equal(self._apply("V4").weights, [1.0, 1.0, 1.0])
+        np.testing.assert_array_equal(self._apply("V4"), [1.0, 1.0, 1.0])
 
     def test_v2_two_survivors(self):
-        w = apply_weight_strategy(
-            WeightVector(np.array([0.4, 0.35, 0.15, 0.1])), "V2", k=3
-        )
-        np.testing.assert_allclose(w.weights, [0.5, 0.5, 0.0, 0.0], atol=1e-15)
+        w = apply_weight_strategy(np.array([0.4, 0.35, 0.15, 0.1]), "V2", k=3)
+        np.testing.assert_allclose(w, [0.5, 0.5, 0.0, 0.0], atol=1e-15)
 
     def test_v2_no_survivors_all_zero(self):
-        w = apply_weight_strategy(
-            WeightVector(np.array([0.34, 0.33, 0.33])), "V2", k=2
-        )
-        np.testing.assert_array_equal(w.weights, np.zeros(3))
+        w = apply_weight_strategy(np.array([0.34, 0.33, 0.33]), "V2", k=2)
+        np.testing.assert_array_equal(w, np.zeros(3))
 
     def test_k_zero_passthrough(self):
-        w = apply_weight_strategy(WeightVector(np.array([1.0])), "V1", k=0)
-        np.testing.assert_array_equal(w.weights, [1.0])
+        w = apply_weight_strategy(np.array([1.0]), "V1", k=0)
+        np.testing.assert_array_equal(w, [1.0])
 
     def test_k_zero_v4_still_ones(self):
-        w = apply_weight_strategy(WeightVector(np.array([0.4])), "V4", k=0)
-        np.testing.assert_array_equal(w.weights, [1.0])
+        w = apply_weight_strategy(np.array([0.4]), "V4", k=0)
+        np.testing.assert_array_equal(w, [1.0])
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_matrix_matches_row_by_row(self, strategy):
@@ -119,21 +166,20 @@ class TestStrategies:
         rows[0] = 1.0 / k  # exactly at the threshold: survives
         rows[1] = 0.1  # no survivors
         rows[2, :2] = 1.0 / k
-        batch = apply_weight_strategy(WeightVector(rows.copy()), strategy, k)
-        assert batch.strategy == strategy
-        expected = np.stack(
-            [apply_weight_strategy(WeightVector(r.copy()), strategy, k).weights for r in rows]
-        )
-        np.testing.assert_array_equal(batch.weights, expected)
+        batch = apply_weight_strategy(rows.copy(), strategy, k)
+        expected = np.stack([apply_weight_strategy(r.copy(), strategy, k) for r in rows])
+        np.testing.assert_array_equal(batch, expected)
 
-    def test_requires_v0_input(self):
-        tagged = WeightVector(np.array([1.0, 0.0]), strategy="V1")
-        with pytest.raises(ValueError):
-            apply_weight_strategy(tagged, "V2", k=1)
+    def test_input_left_untouched(self):
+        rows = np.array([[0.5, 0.3, 0.2]])
+        for strategy in STRATEGIES:
+            out = apply_weight_strategy(rows, strategy, k=2)
+            out[:] = -1.0
+        np.testing.assert_array_equal(rows, [[0.5, 0.3, 0.2]])
 
     def test_unknown_strategy(self):
         with pytest.raises(ValueError):
-            apply_weight_strategy(WeightVector(self.BASE.copy()), "V9", k=2)
+            apply_weight_strategy(self.BASE.copy(), "V9", k=2)
 
     def test_all_strategies_enumerated(self):
         assert STRATEGIES == ("V0", "V1", "V2", "V3", "V4")
@@ -195,9 +241,9 @@ class TestSoftLoss:
         k = 3
         q = np.array([[2.0, 0.0]])
         member = np.array([1.0, 0.0])
-        ns = _neighbors(np.tile(member, (k + 1, 1)))
-        w = soft_weights(member, ns)
-        out = soft_loss(q, [ns], [w], [np.zeros((0, 2))], t=0.5)
+        members = np.tile(member, (1, k + 1, 1))
+        w = soft_weights(member[None, :], members)
+        out = soft_loss(q, members, w, [np.zeros((0, 2))], t=0.5)
         assert out.value == pytest.approx(np.log(k + 1.0), abs=1e-12)
 
     def test_k_zero_equals_hard_loss(self):
@@ -205,9 +251,7 @@ class TestSoftLoss:
         q = rng.normal((4, 6))
         z2 = l2_normalize_rows(rng.normal((4, 6)))
         negs = [l2_normalize_rows(rng.normal((3, 6))) for _ in range(4)]
-        sets = [_neighbors(z2[i : i + 1], query_id=i) for i in range(4)]
-        weights = [WeightVector(np.array([1.0])) for _ in range(4)]
-        soft = soft_loss(q, sets, weights, negs, t=0.5)
+        soft = soft_loss(q, z2[:, None, :], np.ones((4, 1)), negs, t=0.5)
         hard = hard_loss(q, z2, negs, t=0.5)
         assert soft.value == pytest.approx(hard.value, abs=1e-12)
         np.testing.assert_allclose(soft.grad_q, hard.grad_q, atol=1e-12)
@@ -215,35 +259,33 @@ class TestSoftLoss:
     def test_zero_weights_zero_loss(self):
         rng = RngState(6)
         q = rng.normal((2, 4))
-        members = l2_normalize_rows(rng.normal((3, 4)))
-        sets = [_neighbors(members, query_id=i) for i in range(2)]
-        weights = [WeightVector(np.zeros(3), strategy="V2") for _ in range(2)]
+        members = np.stack([l2_normalize_rows(rng.normal((3, 4)))] * 2)
         negs = [l2_normalize_rows(rng.normal((2, 4))) for _ in range(2)]
-        out = soft_loss(q, sets, weights, negs, t=0.5)
+        out = soft_loss(q, members, np.zeros((2, 3)), negs, t=0.5)
         assert out.value == 0.0
         np.testing.assert_allclose(out.grad_q, 0.0, atol=1e-15)
 
     def test_arity_validation(self):
         q = np.eye(2)
-        ns = _neighbors([np.array([1.0, 0.0])])
-        wv = WeightVector(np.array([1.0]))
+        members = np.array([[[1.0, 0.0]]] * 2)
         with pytest.raises(ValueError):
-            soft_loss(q, [ns], [wv, wv], [np.zeros((0, 2))] * 2, t=0.5)
+            soft_loss(q, members[:1], np.ones((1, 1)), [np.zeros((0, 2))] * 2, t=0.5)
         with pytest.raises(ValueError, match="weights"):
-            soft_loss(
-                q,
-                [ns, ns],
-                [wv, WeightVector(np.array([0.5, 0.5]))],
-                [np.zeros((0, 2))] * 2,
-                t=0.5,
-            )
+            soft_loss(q, members, np.full((2, 2), 0.5), [np.zeros((0, 2))] * 2, t=0.5)
+        with pytest.raises(ValueError, match="negative set"):
+            soft_loss(q, members, np.ones((2, 1)), [np.zeros((0, 2))], t=0.5)
+
+    def test_non_unit_members_rejected(self):
+        with pytest.raises(ValueError, match="unit"):
+            soft_loss(np.eye(2), np.full((2, 1, 2), 0.5), np.ones((2, 1)),
+                      [np.zeros((0, 2))] * 2, t=0.5)
 
     def test_negative_weights_rejected(self):
         q = np.eye(2)
-        ns = _neighbors([np.array([1.0, 0.0])])
-        bad = WeightVector(np.array([-0.1]))
+        members = np.array([[[1.0, 0.0]]] * 2)
+        bad = np.full((2, 1), -0.1)
         with pytest.raises(ValueError, match="negative"):
-            soft_loss(q, [ns, ns], [bad, bad], [np.zeros((0, 2))] * 2, t=0.5)
+            soft_loss(q, members, bad, [np.zeros((0, 2))] * 2, t=0.5)
 
 
 class TestPsmLoss:
@@ -253,9 +295,7 @@ class TestPsmLoss:
         z2 = l2_normalize_rows(rng.normal((3, 5)))
         negs = [l2_normalize_rows(rng.normal((4, 5))) for _ in range(3)]
         hard = hard_loss(q, z2, negs, t=0.5)
-        sets = [_neighbors(z2[i : i + 1], query_id=i) for i in range(3)]
-        weights = [WeightVector(np.array([1.0])) for _ in range(3)]
-        soft = soft_loss(q, sets, weights, negs, t=0.5)
+        soft = soft_loss(q, z2[:, None, :], np.ones((3, 1)), negs, t=0.5)
         lam = 2.5
         total = psm_loss(soft, hard, lam)
         assert total.value == pytest.approx(soft.value + lam * hard.value, abs=1e-12)
@@ -294,13 +334,12 @@ class TestFiniteDifferences:
     def test_soft_loss_gradient(self):
         rng = RngState(12)
         q = rng.normal((2, 5))
-        members = [l2_normalize_rows(rng.normal((4, 5))) for _ in range(2)]
-        sets = [_neighbors(members[i], query_id=i) for i in range(2)]
+        members = np.stack([l2_normalize_rows(rng.normal((4, 5))) for _ in range(2)])
         z1 = l2_normalize_rows(rng.normal((2, 5)))
-        weights = [soft_weights(z1[i], sets[i]) for i in range(2)]
+        weights = soft_weights(z1, members)
         negs = [l2_normalize_rows(rng.normal((3, 5))) for _ in range(2)]
-        out = soft_loss(q, sets, weights, negs, t=0.6)
-        fd = _fd_grad(lambda qq: soft_loss(qq, sets, weights, negs, t=0.6).value, q)
+        out = soft_loss(q, members, weights, negs, t=0.6)
+        fd = _fd_grad(lambda qq: soft_loss(qq, members, weights, negs, t=0.6).value, q)
         np.testing.assert_allclose(out.grad_q, fd, rtol=0, atol=1e-7)
 
 

@@ -61,6 +61,23 @@ class TestValidate:
             dict(use_soft=False, use_hard=False),
             dict(k=0, use_hard=False),
             dict(probe_knn=0),
+            # wrong types and non-finite numbers
+            dict(a=float("nan")),
+            dict(a=float("inf")),
+            dict(t=float("nan")),
+            dict(lam=float("nan")),
+            dict(peak_lr=float("nan")),
+            dict(epochs=2.5),
+            dict(batch_size="16"),
+            dict(t="0.5"),
+            dict(k=True),
+            dict(encoder=5),
+            dict(encoder=(32, 0)),
+            dict(projector=()),
+            dict(predictor=(8, 8.0)),
+            dict(use_pnsm="no"),
+            dict(strategy=1),
+            dict(augment={"sigma": 0.1}),
         ],
     )
     def test_rejects(self, over):
@@ -72,6 +89,9 @@ class TestValidate:
 
     def test_default_is_valid(self):
         TrainConfig().validate()
+
+    def test_ints_stand_for_floats(self):
+        _mini_cfg(t=1, a=0, lam=2, peak_lr=1).validate()
 
 
 class TestNegativeCountOracle:
