@@ -273,6 +273,15 @@ def cmd_diagnose(args) -> int:
     return 0
 
 
+def _bracketed(values: np.ndarray) -> str:
+    """``[v0,v1,...]``, each value printed as repr() of its Python int or float.
+
+    The list's own C-level repr formats every element, so no NumPy scalar
+    or Python-level call is made per value; a repr never contains ", ".
+    """
+    return repr(values.tolist()).replace(", ", ",")
+
+
 def cmd_mine(args) -> int:
     mining = MiningConfig(a=args.a)
     bank = load_bank(args.bank)
@@ -282,33 +291,31 @@ def cmd_mine(args) -> int:
         raise DataFormatError(
             f"query dim {queries.shape[1]} does not match bank dim {bank.dim}"
         )
+    if args.mode == "negative" and len(bank) < 2:
+        raise ValueError("negative mode needs a bank with at least 2 entries")
     rng = RngState(args.seed)
     if args.mode == "positive":
         for i, q in enumerate(queries):
             ns = query_topk(bank, q, args.k, query_id=i)
-            idx = ",".join(str(int(v)) for v in ns.bank_indices)
-            sims = ",".join(repr(float(v)) for v in ns.sims[1:])
-            print(f"query={i} indices=[{idx}] sims=[{sims}]")
+            idx, sims = _bracketed(ns.bank_indices), _bracketed(ns.sims[1:])
+            print(f"query={i} indices={idx} sims={sims}")
         return 0
     entries = bank.entries()
     for i, q in enumerate(queries):
-        if len(bank) < 2:
-            raise ValueError("negative mode needs a bank with at least 2 entries")
         sims = entries @ q
         anchor = int(np.argmax(sims))
-        cand_rows = np.delete(np.arange(len(bank)), anchor)
         mined = mine_negatives(
             q,
             float(sims[anchor]),
-            entries[cand_rows],
+            np.delete(entries, anchor, axis=0),
             mining,
             rng.split("mine", i),
             query_id=i,
         )
-        kept_bank = cand_rows[mined.kept]
-        kept = ",".join(str(int(v)) for v in kept_bank)
-        probs = ",".join(repr(float(v)) for v in mined.probs[mined.kept])
-        print(f"query={i} anchor={anchor} kept=[{kept}] probs=[{probs}]")
+        # candidate m is bank row m below the anchor and row m + 1 above it
+        kept = _bracketed(mined.kept + (mined.kept >= anchor))
+        probs = _bracketed(mined.probs[mined.kept])
+        print(f"query={i} anchor={anchor} kept={kept} probs={probs}")
     return 0
 
 

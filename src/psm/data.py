@@ -133,7 +133,7 @@ def save_csv(dataset: Dataset, path: str | Path) -> None:
         cols = ",".join(f"f{j}" for j in range(dataset.dim))
         fh.write(f"label,{cols}\n")
         for label, row in zip(dataset.labels, dataset.features):
-            vals = ",".join(repr(float(v)) for v in row)
+            vals = ",".join(map(repr, row.tolist()))
             fh.write(f"{int(label)},{vals}\n")
 
 

@@ -110,6 +110,12 @@ class TrainConfig:
             raise ValueError("lambda must be nonnegative")
         if not 0.0 <= self.ema_momentum <= 1.0:
             raise ValueError("EMA momentum must lie in [0, 1]")
+        if min(self.base_lr, self.peak_lr, self.floor_lr) < 0:
+            raise ValueError("learning rates must be nonnegative")
+        if self.weight_decay < 0:
+            raise ValueError("weight decay must be nonnegative")
+        if not 0.0 <= self.sgd_momentum < 1.0:
+            raise ValueError("SGD momentum must lie in [0, 1)")
         if self.bank_capacity < 1:
             raise ValueError("bank capacity must be positive")
         if self.epochs < 0 or self.warmup_epochs < 0:

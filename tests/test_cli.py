@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from psm import cli
-from psm.data import Dataset, save_csv
-from psm.memory_bank import MemoryBank, save_bank
+from psm.data import Dataset, load_csv, save_csv
+from psm.memory_bank import MemoryBank, load_bank, query_topk, save_bank
 from psm.numerics import RngState, l2_normalize_rows
+from psm.pnsm import MiningConfig, mine_negatives
 
 SYN = "c3,d8,n16,sep6"
 
@@ -171,11 +172,15 @@ class TestExitCodes:
             (_SMALL, {"t": "0.5"}),
             (_SMALL, {"encoder": 5}),
             (_SMALL, {"use_pnsm": "no"}),
+            (_SMALL, {"peak_lr": -5.0}),
+            (_SMALL, {"sgd_momentum": 5.0}),
+            (_SMALL, {"weight_decay": -1.0}),
         ],
         ids=[
             "k0_no_hard", "batch_exceeds_rows", "probe_knn_0", "a_nan", "t_nan",
             "lambda_nan", "sep_nan", "aug_sigma_nan", "peak_lr_nan", "epochs_float",
             "batch_size_str", "t_str", "encoder_int", "use_pnsm_str",
+            "peak_lr_negative", "momentum_5", "weight_decay_negative",
         ],
     )
     def test_validation_failure_precedes_writes(self, tmp_path, extra, config):
@@ -464,7 +469,88 @@ def bank_and_queries(tmp_path):
     return bank_path, query_path
 
 
+def _reference_mine_lines(bank_path, query_path, mode, k, a, seed):
+    """Reference ``psm mine`` output: candidate rows gathered by fancy
+    index, and every printed number formatted one NumPy scalar at a time."""
+    bank = load_bank(bank_path)
+    queries = l2_normalize_rows(load_csv(query_path).features)
+    rng = RngState(seed)
+    lines = []
+    if mode == "positive":
+        for i, q in enumerate(queries):
+            ns = query_topk(bank, q, k, query_id=i)
+            idx = ",".join(str(int(v)) for v in ns.bank_indices)
+            sims = ",".join(repr(float(v)) for v in ns.sims[1:])
+            lines.append(f"query={i} indices=[{idx}] sims=[{sims}]")
+        return lines
+    entries = bank.entries()
+    for i, q in enumerate(queries):
+        sims = entries @ q
+        anchor = int(np.argmax(sims))
+        cand_rows = np.delete(np.arange(len(bank)), anchor)
+        mined = mine_negatives(
+            q, float(sims[anchor]), entries[cand_rows], MiningConfig(a=a),
+            rng.split("mine", i), query_id=i,
+        )
+        kept = ",".join(str(int(v)) for v in cand_rows[mined.kept])
+        probs = ",".join(repr(float(v)) for v in mined.probs[mined.kept])
+        lines.append(f"query={i} anchor={anchor} kept=[{kept}] probs=[{probs}]")
+    return lines
+
+
+# Anchors of the first queries: the first, a middle and the last bank row.
+_ANCHORS = (0, 6, 11)
+
+
+@pytest.fixture()
+def duplicate_bank(tmp_path):
+    """A 12-row bank in which rows 4, 9 and 8 repeat rows 0, 6 and 7, plus
+    queries near rows 0, 6 and 11 and five random ones."""
+    rows = l2_normalize_rows(RngState(5).normal((12, 6)))
+    rows[4], rows[9], rows[8] = rows[0], rows[6], rows[7]
+    bank = MemoryBank(16, 6)
+    bank.enqueue_batch(rows)
+    bank_path = tmp_path / "dup.psmb"
+    save_bank(bank, bank_path)
+    near = rows[list(_ANCHORS)] + 1e-3 * RngState(6).normal((3, 6))
+    queries = np.vstack([near, RngState(7).normal((5, 6))])
+    query_path = tmp_path / "dup.csv"
+    save_csv(Dataset(queries, np.zeros(len(queries), dtype=np.int64)), query_path)
+    return bank_path, query_path
+
+
 class TestMine:
+    @pytest.mark.parametrize(
+        "mode, k, a",
+        [
+            ("positive", 3, "0.5"),
+            ("positive", 20, "0.5"),
+            ("negative", 5, "0"),
+            ("negative", 5, "0.5"),
+            ("negative", 5, "1e4"),
+        ],
+    )
+    def test_output_matches_reference_formatting(self, duplicate_bank, capsys, mode, k, a):
+        bank_path, query_path = duplicate_bank
+        argv = ["mine", "--bank", str(bank_path), "--query", str(query_path)]
+        code = cli.main([*argv, "--mode", mode, "--k", str(k), "--a", a, "--seed", "3"])
+        assert code == 0
+        out = capsys.readouterr().out
+        lines = _reference_mine_lines(bank_path, query_path, mode, k, float(a), 3)
+        assert out == "".join(line + "\n" for line in lines)
+        if mode == "positive":
+            return
+        anchors = [int(line.split("anchor=")[1].split()[0]) for line in lines]
+        assert tuple(anchors[:3]) == _ANCHORS
+        probs = [line.split("probs=[")[1].rstrip("]").split(",") for line in lines]
+        if a == "0":
+            assert all(p == ["1.0"] * 11 for p in probs)
+        if a == "1e4":
+            # tiny probabilities print in exponent form, and a query whose
+            # candidates were all rejected keeps exactly one (the fallback)
+            assert any("e-" in v for p in probs for v in p)
+            assert any(len(p) == 1 and float(p[0]) < 1e-3 for p in probs)
+
     def test_positive_mode(self, bank_and_queries, capsys):
         bank_path, query_path = bank_and_queries
         code = cli.main(
@@ -579,7 +665,7 @@ class TestMine:
         code = cli.main(["mine", "--bank", str(bad), "--query", str(query_path)])
         assert code == 2
 
-    def test_negative_mode_needs_two_entries(self, tmp_path, bank_and_queries):
+    def test_negative_mode_needs_two_entries(self, tmp_path, bank_and_queries, capsys):
         _, query_path = bank_and_queries
         bank = MemoryBank(4, 4)
         bank.enqueue_batch(l2_normalize_rows(RngState(4).normal((1, 4))))
@@ -596,7 +682,9 @@ class TestMine:
                 "negative",
             ]
         )
+        captured = capsys.readouterr()
         assert code == 1
+        assert captured.out == "" and "at least 2 entries" in captured.err
 
 
 class TestAblate:

@@ -78,6 +78,14 @@ class TestValidate:
             dict(use_pnsm="no"),
             dict(strategy=1),
             dict(augment={"sigma": 0.1}),
+            # optimizer ranges
+            dict(base_lr=-1e-4),
+            dict(peak_lr=-5.0),
+            dict(floor_lr=-0.01),
+            dict(weight_decay=-1.0),
+            dict(sgd_momentum=-0.1),
+            dict(sgd_momentum=1.0),
+            dict(sgd_momentum=5.0),
         ],
     )
     def test_rejects(self, over):
@@ -92,6 +100,10 @@ class TestValidate:
 
     def test_ints_stand_for_floats(self):
         _mini_cfg(t=1, a=0, lam=2, peak_lr=1).validate()
+
+    def test_optimizer_range_edges_are_valid(self):
+        zeros = dict(base_lr=0.0, peak_lr=0.0, floor_lr=0.0, weight_decay=0.0)
+        _mini_cfg(**zeros, sgd_momentum=0.0).validate()
 
 
 class TestNegativeCountOracle:
