@@ -150,13 +150,16 @@ class MemoryBank:
     def similarities(self, z2: np.ndarray) -> NDArray[np.float64]:
         """Cosine similarity of each query row to every entry, oldest first.
 
-        Shape (B, count) for a (B, d) query block.
+        Shape (B, count) for a (B, d) query block. Once the ring has
+        wrapped, the product's two column runs are swapped into enqueue
+        order by slice copies.
         """
         z2 = np.atleast_2d(np.asarray(z2, dtype=np.float64))
         sims = z2 @ self._buf[: min(self._count, self.capacity)].T
-        if self._count == self.capacity and self._ptr != 0:
-            sims = sims[:, self._order_map()]
-        return np.clip(sims, -1.0, 1.0)
+        ptr = self._ptr
+        if self._count == self.capacity and ptr != 0:
+            sims = np.concatenate([sims[:, ptr:], sims[:, :ptr]], axis=1)
+        return np.clip(sims, -1.0, 1.0, out=sims)
 
 
 def query_topk(bank: MemoryBank, z2: np.ndarray, k: int, query_id: int = 0) -> MinedNeighborSet:

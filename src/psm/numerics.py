@@ -23,6 +23,10 @@ _GOLDEN = 0x9E3779B97F4A7C15
 # costs precision, or flush to zero; such rows are rescaled before squaring.
 _TINY_NORM = 1e-100
 
+# Columns per group in top_k_indices' floor pass: a (rows, n) score matrix
+# yields n // 32 group maxima per row, or k groups when k is larger.
+_TOPK_GROUP_COLS = 32
+
 
 def l2_normalize_rows(
     m: EmbeddingMatrix, *, return_flags: bool = False
@@ -83,41 +87,39 @@ def top_k_indices(scores: NDArray[np.float64], k: int) -> NDArray[np.int64]:
     the same number of dimensions. The answer equals the first k columns
     of ``np.argsort(-scores, kind="stable")``: ties go to the smaller
     index, also where they straddle the k-th place, and NaN ranks last.
-    Only the k survivors of a partial selection are sorted.
+    One pass over strided column groups sets a floor that at least k
+    scores reach; only the scores at or above it are sorted.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim not in (1, 2):
         raise ValueError("scores must be 1-d or 2-d")
-    neg = -np.atleast_2d(scores)
-    rows, n = neg.shape
+    s = np.ascontiguousarray(np.atleast_2d(scores))
+    rows, n = s.shape
     kk = min(k, n)
-    if kk == 0:
-        idx = np.empty((rows, 0), dtype=np.int64)
-    else:
-        idx = np.argpartition(neg, kk - 1, axis=1)[:, :kk]
-        kth = np.take_along_axis(neg, idx[:, kk - 1 : kk], axis=1)
-        # The partition picks an arbitrary subset of the entries that tie
-        # at the k-th value; rows where such ties straddle the cut, or
-        # where that value is NaN, are redone by rank of index.
-        redo = np.isnan(kth[:, 0]) | ((neg <= kth).sum(axis=1) > kk)
-        for r in np.flatnonzero(redo):
-            idx[r] = _exact_survivors(neg[r], kth[r, 0], kk)
-        idx = np.sort(idx, axis=1)
-        order = np.argsort(np.take_along_axis(neg, idx, axis=1), axis=1, kind="stable")
-        idx = np.take_along_axis(idx, order, axis=1).astype(np.int64, copy=False)
+    idx = np.empty((rows, kk), dtype=np.int64)
+    if kk:
+        # Column j, j + g, j + 2g, ... form group j; the tail columns past
+        # the last full stride fold into the first groups. Each of the kk
+        # largest group maxima is some score, so at least kk scores reach
+        # the floor, and with them every score of the top kk and every
+        # score tied with the kk-th.
+        g = max(kk, n // _TOPK_GROUP_COLS)
+        full = n // g * g
+        gmax = s[:, :full].reshape(rows, full // g, g).max(axis=1)
+        np.maximum(gmax[:, : n - full], s[:, full:], out=gmax[:, : n - full])
+        floor = -np.partition(-gmax, kk - 1, axis=1)[:, kk - 1]
+        row, col = np.divmod(np.flatnonzero(s >= floor[:, None]), n)
+        order = np.lexsort((col, -s[row, col], row))
+        counts = np.bincount(row, minlength=rows)
+        ok = counts >= kk
+        first = (np.cumsum(counts) - counts)[ok]
+        idx[ok] = col[order[first[:, None] + np.arange(kk)]]
+        # a floor of NaN (fewer than kk groups free of NaN) admits nothing
+        for r in np.flatnonzero(~ok):
+            idx[r] = np.argsort(-s[r], kind="stable")[:kk]
     return idx[0] if scores.ndim == 1 else idx
-
-
-def _exact_survivors(neg: np.ndarray, kth: float, kk: int) -> NDArray[np.intp]:
-    """The kk smallest of ``neg`` (NaN largest), smaller index first on ties."""
-    if np.isnan(kth):
-        below, tied = ~np.isnan(neg), np.isnan(neg)
-    else:
-        below, tied = neg < kth, neg == kth
-    ahead = np.flatnonzero(below)
-    return np.concatenate([ahead, np.flatnonzero(tied)[: kk - ahead.size]])
 
 
 def check_field_types(obj) -> None:

@@ -502,21 +502,25 @@ def _reference_mine_lines(bank_path, query_path, mode, k, a, seed):
 _ANCHORS = (0, 6, 11)
 
 
-@pytest.fixture()
-def duplicate_bank(tmp_path):
+def _write_duplicate_bank(tmp_path, anchors, n_random):
     """A 12-row bank in which rows 4, 9 and 8 repeat rows 0, 6 and 7, plus
-    queries near rows 0, 6 and 11 and five random ones."""
+    queries near the rows ``anchors`` and ``n_random`` random ones."""
     rows = l2_normalize_rows(RngState(5).normal((12, 6)))
     rows[4], rows[9], rows[8] = rows[0], rows[6], rows[7]
     bank = MemoryBank(16, 6)
     bank.enqueue_batch(rows)
     bank_path = tmp_path / "dup.psmb"
     save_bank(bank, bank_path)
-    near = rows[list(_ANCHORS)] + 1e-3 * RngState(6).normal((3, 6))
-    queries = np.vstack([near, RngState(7).normal((5, 6))])
+    near = rows[list(anchors)] + 1e-3 * RngState(6).normal((len(anchors), 6))
+    queries = np.vstack([near, RngState(7).normal((n_random, 6))])
     query_path = tmp_path / "dup.csv"
     save_csv(Dataset(queries, np.zeros(len(queries), dtype=np.int64)), query_path)
     return bank_path, query_path
+
+
+@pytest.fixture()
+def duplicate_bank(tmp_path):
+    return _write_duplicate_bank(tmp_path, _ANCHORS, 5)
 
 
 class TestMine:
@@ -550,6 +554,21 @@ class TestMine:
             # candidates were all rejected keeps exactly one (the fallback)
             assert any("e-" in v for p in probs for v in p)
             assert any(len(p) == 1 and float(p[0]) < 1e-3 for p in probs)
+
+    @pytest.mark.parametrize("a", ["0", "0.5"])
+    def test_anchor_jumps_match_reference(self, tmp_path, capsys, a):
+        # anchors step back and forth by several rows, repeat, and go from
+        # the first bank row to the last and back, so the reused candidate
+        # buffer is patched in both directions and across its whole length
+        anchors = (5, 1, 10, 0, 11, 2, 11, 0, 3, 3)
+        bank_path, query_path = _write_duplicate_bank(tmp_path, anchors, 0)
+        argv = ["mine", "--bank", str(bank_path), "--query", str(query_path)]
+        assert cli.main([*argv, "--mode", "negative", "--a", a, "--seed", "4"]) == 0
+        out = capsys.readouterr().out
+        lines = _reference_mine_lines(bank_path, query_path, "negative", 5, float(a), 4)
+        assert out == "".join(line + "\n" for line in lines)
+        got = tuple(int(line.split("anchor=")[1].split()[0]) for line in lines)
+        assert got == anchors
 
     def test_positive_mode(self, bank_and_queries, capsys):
         bank_path, query_path = bank_and_queries

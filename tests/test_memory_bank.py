@@ -176,6 +176,18 @@ class TestQueryTopk:
         ns = query_topk(bank, np.array([-1.0, 0.0]), 1)
         assert bank.labels_at(ns.bank_indices).tolist() == [2]
 
+    @pytest.mark.parametrize("ptr", [1, 8, 15])
+    def test_similarities_after_wrap_match_gathered_product(self, ptr):
+        rng = RngState(11)
+        bank = MemoryBank(16, 8)
+        bank.enqueue_batch(_unit_rows(rng, 16, 8))
+        bank.enqueue_batch(_unit_rows(rng, ptr, 8))
+        assert len(bank) == 16 and bank._ptr == ptr
+        z = _unit_rows(rng, 5, 8)
+        want = np.clip((z @ bank._buf.T)[:, bank._order_map()], -1.0, 1.0)
+        got = bank.similarities(z)
+        assert got.tobytes() == want.tobytes()
+
 
 class TestBankIO:
     @pytest.mark.parametrize("with_labels", [False, True])

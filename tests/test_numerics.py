@@ -118,10 +118,12 @@ class TestTopK:
         with pytest.raises(ValueError):
             top_k_indices(np.array([0.3]), -1)
 
+    # Rows up to 300 wide split into several strided column groups plus a
+    # tail, so the floor pass and the tie rule meet across group borders.
     @settings(max_examples=300, deadline=None)
     @given(
         st.integers(1, 4).flatmap(
-            lambda rows: st.integers(1, 12).flatmap(
+            lambda rows: st.integers(1, 300).flatmap(
                 lambda n: st.tuples(
                     st.lists(
                         st.lists(
@@ -145,6 +147,21 @@ class TestTopK:
         want = np.argsort(-s, axis=1, kind="stable")[:, :k]
         np.testing.assert_array_equal(top_k_indices(s, k), want)
         np.testing.assert_array_equal(top_k_indices(s[0], k), want[0])
+
+    @pytest.mark.parametrize("rows, n, k", [(64, 2048, 5), (512, 2048, 20)])
+    def test_reference_shapes_with_ties_at_kth_place(self, rows, n, k):
+        rng = np.random.default_rng([rows, n, k])
+        s = np.round(rng.uniform(-1.0, 1.0, size=(rows, n)), 6)
+        order = np.argsort(-s, axis=1, kind="stable")
+        r = np.arange(rows)
+        kth = s[r, order[:, k - 1]]
+        # the (k+1)-th and the last place take the k-th score, so three
+        # scores tie across the cut, in columns anywhere in the row
+        s[r[:, None], order[:, [k, n - 1]]] = kth[:, None]
+        assert np.all(np.sort(s, axis=1)[:, n - k - 2] == kth)
+        want = np.argsort(-s, axis=1, kind="stable")[:, :k]
+        assert np.any(want[:, k - 1] != order[:, k - 1])
+        np.testing.assert_array_equal(top_k_indices(s, k), want)
 
 
 class TestCheckUnitRows:
