@@ -301,26 +301,21 @@ def cmd_mine(args) -> int:
             print(f"query={i} indices={idx} sims={sims}")
         return 0
     entries = bank.entries()
-    row_text = [str(j) for j in range(len(entries))]
-    # candidate m is bank row m below the anchor and row m + 1 above it;
-    # one buffer serves every query, and a new anchor re-copies only the
-    # rows between it and the previous one
-    cands, prev = entries[:-1].copy(), len(entries) - 1
     for i, q in enumerate(queries):
         sims = entries @ q
         anchor = int(np.argmax(sims))
-        if anchor > prev:
-            cands[prev:anchor] = entries[prev:anchor]
-        else:
-            cands[anchor:prev] = entries[anchor + 1 : prev + 1]
-        prev = anchor
         mined = mine_negatives(
-            q, float(sims[anchor]), cands, mining, rng.split("mine", i), query_id=i
+            q,
+            float(sims[anchor]),
+            np.delete(entries, anchor, axis=0),
+            mining,
+            rng.split("mine", i),
+            query_id=i,
         )
-        rows = mined.kept + (mined.kept >= anchor)
-        kept = ",".join([row_text[j] for j in rows.tolist()])
+        # candidate m is bank row m below the anchor and row m + 1 above it
+        kept = _bracketed(mined.kept + (mined.kept >= anchor))
         probs = _bracketed(mined.probs[mined.kept])
-        print(f"query={i} anchor={anchor} kept=[{kept}] probs={probs}")
+        print(f"query={i} anchor={anchor} kept={kept} probs={probs}")
     return 0
 
 

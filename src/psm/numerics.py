@@ -23,9 +23,13 @@ _GOLDEN = 0x9E3779B97F4A7C15
 # costs precision, or flush to zero; such rows are rescaled before squaring.
 _TINY_NORM = 1e-100
 
-# Columns per group in top_k_indices' floor pass: a (rows, n) score matrix
-# yields n // 32 group maxima per row, or k groups when k is larger.
+# top_k_indices' floor pass splits a row of n scores into n // 32 strided
+# groups, but never fewer than 4 per wanted index: the floor is then the
+# k-th largest of at least 4k group maxima, not the smallest of only k,
+# which would admit most of a narrow row. Rows of at most 32 scores are
+# sorted whole.
 _TOPK_GROUP_COLS = 32
+_TOPK_GROUPS_PER_K = 4
 
 
 def l2_normalize_rows(
@@ -88,7 +92,8 @@ def top_k_indices(scores: NDArray[np.float64], k: int) -> NDArray[np.int64]:
     of ``np.argsort(-scores, kind="stable")``: ties go to the smaller
     index, also where they straddle the k-th place, and NaN ranks last.
     One pass over strided column groups sets a floor that at least k
-    scores reach; only the scores at or above it are sorted.
+    scores reach; only the scores at or above it are sorted. Rows of at
+    most 32 scores are sorted whole.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
@@ -99,13 +104,15 @@ def top_k_indices(scores: NDArray[np.float64], k: int) -> NDArray[np.int64]:
     rows, n = s.shape
     kk = min(k, n)
     idx = np.empty((rows, kk), dtype=np.int64)
-    if kk:
+    if n <= _TOPK_GROUP_COLS:
+        idx[:] = np.argsort(-s, axis=1, kind="stable")[:, :kk]
+    elif kk:
         # Column j, j + g, j + 2g, ... form group j; the tail columns past
         # the last full stride fold into the first groups. Each of the kk
         # largest group maxima is some score, so at least kk scores reach
         # the floor, and with them every score of the top kk and every
         # score tied with the kk-th.
-        g = max(kk, n // _TOPK_GROUP_COLS)
+        g = min(n, max(_TOPK_GROUPS_PER_K * kk, n // _TOPK_GROUP_COLS))
         full = n // g * g
         gmax = s[:, :full].reshape(rows, full // g, g).max(axis=1)
         np.maximum(gmax[:, : n - full], s[:, full:], out=gmax[:, : n - full])

@@ -558,8 +558,8 @@ class TestMine:
     @pytest.mark.parametrize("a", ["0", "0.5"])
     def test_anchor_jumps_match_reference(self, tmp_path, capsys, a):
         # anchors step back and forth by several rows, repeat, and go from
-        # the first bank row to the last and back, so the reused candidate
-        # buffer is patched in both directions and across its whole length
+        # the first bank row to the last and back, so the candidates without
+        # the anchor and the remap of kept rows meet both ends of the bank
         anchors = (5, 1, 10, 0, 11, 2, 11, 0, 3, 3)
         bank_path, query_path = _write_duplicate_bank(tmp_path, anchors, 0)
         argv = ["mine", "--bank", str(bank_path), "--query", str(query_path)]

@@ -118,8 +118,9 @@ class TestTopK:
         with pytest.raises(ValueError):
             top_k_indices(np.array([0.3]), -1)
 
-    # Rows up to 300 wide split into several strided column groups plus a
-    # tail, so the floor pass and the tie rule meet across group borders.
+    # Rows up to 300 wide are sorted whole (at most 32 scores) or split into
+    # strided column groups plus a tail, one per column or 4 per wanted
+    # index, so the floor pass and the tie rule meet across group borders.
     @settings(max_examples=300, deadline=None)
     @given(
         st.integers(1, 4).flatmap(
@@ -148,8 +149,22 @@ class TestTopK:
         np.testing.assert_array_equal(top_k_indices(s, k), want)
         np.testing.assert_array_equal(top_k_indices(s[0], k), want[0])
 
-    @pytest.mark.parametrize("rows, n, k", [(64, 2048, 5), (512, 2048, 20)])
-    def test_reference_shapes_with_ties_at_kth_place(self, rows, n, k):
+    # the reference shapes, then each side of the whole-row sort (n = 32,
+    # 33) and of each group count: one per column (4k >= n), 4k, n // 32
+    @pytest.mark.parametrize(
+        "rows, n, k",
+        [
+            (64, 2048, 5),
+            (512, 2048, 20),
+            (8, 32, 4),
+            (8, 33, 4),
+            (8, 33, 9),
+            (8, 100, 25),
+            (8, 300, 2),
+            (8, 700, 20),
+        ],
+    )
+    def test_shapes_with_ties_at_kth_place(self, rows, n, k):
         rng = np.random.default_rng([rows, n, k])
         s = np.round(rng.uniform(-1.0, 1.0, size=(rows, n)), 6)
         order = np.argsort(-s, axis=1, kind="stable")
