@@ -296,7 +296,7 @@ def cmd_mine(args) -> int:
     rng = RngState(args.seed)
     if args.mode == "positive":
         for i, q in enumerate(queries):
-            ns = query_topk(bank, q, args.k, query_id=i)
+            ns = query_topk(bank, q, args.k)
             idx, sims = _bracketed(ns.bank_indices), _bracketed(ns.sims[1:])
             print(f"query={i} indices={idx} sims={sims}")
         return 0
@@ -310,7 +310,6 @@ def cmd_mine(args) -> int:
             np.delete(entries, anchor, axis=0),
             mining,
             rng.split("mine", i),
-            query_id=i,
         )
         # candidate m is bank row m below the anchor and row m + 1 above it
         kept = _bracketed(mined.kept + (mined.kept >= anchor))

@@ -171,11 +171,11 @@ def load_csv(path: str | Path, split: str = "train") -> Dataset:
     if bad.any():
         ln = line_nos[int(np.argmax(bad))]
         raise DataFormatError(f"{path}: line {ln}: non-finite feature value")
-    return Dataset(
-        features=features,
-        labels=np.array(labels, dtype=np.int64),
-        split=split,
-    )
+    labels = np.array(labels, dtype=np.int64)
+    if (labels < 0).any():
+        ln = line_nos[int(np.argmax(labels < 0))]
+        raise DataFormatError(f"{path}: line {ln}: negative label")
+    return Dataset(features=features, labels=labels, split=split)
 
 
 def split_dataset(

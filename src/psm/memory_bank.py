@@ -30,14 +30,9 @@ class MinedNeighborSet:
     ``bank_indices`` aligns with members 1..k and ``sims[0]`` is exactly 1.
     """
 
-    query_id: int
     members: NDArray[np.float64]
     bank_indices: NDArray[np.int64]
     sims: NDArray[np.float64]
-
-    @property
-    def k(self) -> int:
-        return len(self.members) - 1
 
 
 class MemoryBank:
@@ -162,7 +157,7 @@ class MemoryBank:
         return np.clip(sims, -1.0, 1.0, out=sims)
 
 
-def query_topk(bank: MemoryBank, z2: np.ndarray, k: int, query_id: int = 0) -> MinedNeighborSet:
+def query_topk(bank: MemoryBank, z2: np.ndarray, k: int) -> MinedNeighborSet:
     """Top-k most similar bank entries for one query view.
 
     Returns a set whose index 0 is ``z2`` itself with similarity exactly 1;
@@ -173,9 +168,7 @@ def query_topk(bank: MemoryBank, z2: np.ndarray, k: int, query_id: int = 0) -> M
     if z2.shape[0] != bank.dim:
         raise ValueError(f"query dim {z2.shape[0]} does not match bank dim {bank.dim}")
     members, idx, sims, _ = query_topk_batch(bank, z2[None, :], k)
-    return MinedNeighborSet(
-        query_id=query_id, members=members[0], bank_indices=idx[0], sims=sims[0]
-    )
+    return MinedNeighborSet(members=members[0], bank_indices=idx[0], sims=sims[0])
 
 
 def query_topk_batch(
@@ -231,6 +224,10 @@ def load_bank(path: str | Path) -> MemoryBank:
         if count > capacity:
             raise _binio.FormatError("count exceeds capacity")
         entries = _binio.read_f64_array(fh, (count, dim))
+        try:
+            check_unit_rows(entries, "bank")
+        except ValueError as exc:
+            raise _binio.FormatError(str(exc)) from None
         labels = _binio.read_i64_array(fh, (count,)) if has_labels else None
         _binio.expect_eof(fh, "bank")
     bank = MemoryBank(capacity, dim, with_labels=bool(has_labels))

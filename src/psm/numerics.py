@@ -160,8 +160,10 @@ def check_unit_rows(m: np.ndarray, what: str, tol: float = 1e-6) -> None:
     norms = np.sqrt(np.einsum("ij,ij->i", np.atleast_2d(m), np.atleast_2d(m)))
     bad = ~(np.abs(norms - 1.0) <= tol) & ~(norms == 0.0)
     if np.any(bad):
-        worst = float(norms[bad][0])
-        raise ValueError(f"{what} must hold unit rows; found norm {worst:.6g}")
+        row = int(np.argmax(bad))
+        raise ValueError(
+            f"{what} must hold unit rows; found norm {norms[row]:.6g} in row {row}"
+        )
 
 
 def _splitmix64(x: int) -> int:

@@ -41,7 +41,6 @@ class MiningConfig:
 class MinedNegativeSet:
     """Retention result for one query: kept candidate indices plus all p_i."""
 
-    query_id: int
     kept: NDArray[np.int64]
     probs: NDArray[np.float64]
 
@@ -49,16 +48,6 @@ class MinedNegativeSet:
 def _check_density(a: float) -> None:
     if not (np.isfinite(a) and a >= 0):
         raise ValueError(f"a must be finite and nonnegative, got {a}")
-
-
-def mining_probability(s_neg, s_pos, a: float):
-    """p = exp(-a * (s_neg - s_pos)**2), elementwise on array input."""
-    _check_density(a)
-    d = np.asarray(s_neg, dtype=np.float64) - np.asarray(s_pos, dtype=np.float64)
-    p = np.exp(-a * d * d)
-    if np.ndim(p) == 0:
-        return float(p)
-    return p
 
 
 def mine_mask(
@@ -104,7 +93,6 @@ def mine_negatives(
     candidates: np.ndarray,
     cfg: MiningConfig,
     rng: RngState,
-    query_id: int = 0,
 ) -> MinedNegativeSet:
     """Bernoulli-select negatives for a single query.
 
@@ -115,13 +103,13 @@ def mine_negatives(
     q1 = np.asarray(q1, dtype=np.float64).reshape(-1)
     candidates = np.asarray(candidates, dtype=np.float64)
     if candidates.size == 0:
-        return MinedNegativeSet(query_id, np.empty(0, dtype=np.int64), np.empty(0))
+        return MinedNegativeSet(np.empty(0, dtype=np.int64), np.empty(0))
     check_unit_rows(candidates, "candidates")
     sims = np.clip(candidates @ q1, -1.0, 1.0)
     off = np.array([0, len(sims)], dtype=np.int64)
     uniforms = rng.uniform(len(sims))
     probs, keep = mine_mask(sims, np.array([s_pos]), off, cfg.a, uniforms)
-    return MinedNegativeSet(query_id, np.nonzero(keep)[0].astype(np.int64), probs)
+    return MinedNegativeSet(np.nonzero(keep)[0].astype(np.int64), probs)
 
 
 def filter_csr(

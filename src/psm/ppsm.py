@@ -1,13 +1,18 @@
-"""Positive-sample mining losses and neighbor weighting.
+"""Positive-sample mining: neighbor weights and the weighted NCE loss.
 
-The soft loss treats the query's augmented view plus its mined bank
-neighbors as simultaneous positives, weighted by a softmax over their
-similarities to the online projection z1. The hard loss is the plain
-one-positive form on the view alone. Both return analytic gradients with
-respect to the raw (pre-normalization) prediction rows q1; every other
-embedding, and the weights themselves, are treated as constants. That
-stop-gradient boundary matches the asymmetric online/target design: the
-target branch never receives gradient.
+The trainer's positives for a query are its target view (member 0) and
+the k bank neighbors mined for that view. ``soft_weights`` turns their
+similarities to the online projection z1 into a softmax, and
+``apply_weight_strategy`` reshapes those weights per the V0..V4
+ablations. ``weighted_nce_csr`` is the one loss: every positive sits in
+the numerator with its weight and in the query's denominator beside the
+query's negatives. The trainer runs it once per pool, the soft pool with
+the mined members as positives and the hard pool with the view alone,
+weighted 1. It returns the analytic gradient with respect to the raw
+(pre-normalization) prediction rows q1; every other embedding, and the
+weights themselves, are treated as constants. That stop-gradient
+boundary matches the asymmetric online/target design: the target branch
+never receives gradient.
 
 Weighting strategies:
   V0  softmax weights as computed
@@ -20,7 +25,6 @@ Weighting strategies:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -35,12 +39,11 @@ WEIGHT_SPAN_MINED_ONLY = "mined_only"
 
 @dataclass
 class LossOutput:
-    """Scalar loss, gradient w.r.t. raw q1 rows, and per-query diagnostics."""
+    """Batch-mean loss, its gradient w.r.t. raw q1 rows, negatives per query."""
 
     value: float
     grad_q: NDArray[np.float64]
     neg_counts: NDArray[np.int64]
-    per_query: NDArray[np.float64]
 
 
 def soft_weights(
@@ -214,27 +217,6 @@ def nce_loss_grad(
     return loss, grad
 
 
-def _pack_negatives(
-    negatives: Sequence[np.ndarray], dim: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    rows = []
-    counts = [0] * len(negatives)
-    for i, neg in enumerate(negatives):
-        neg = np.asarray(neg, dtype=np.float64)
-        if neg.size == 0:
-            continue
-        if neg.ndim != 2 or neg.shape[1] != dim:
-            raise ValueError(f"negative set {i} has shape {neg.shape}, want (*, {dim})")
-        check_unit_rows(neg, f"negative set {i}")
-        counts[i] = neg.shape[0]
-        rows.append(neg)
-    cands = np.concatenate(rows, axis=0) if rows else np.zeros((0, dim))
-    neg_off = np.zeros(len(negatives) + 1, dtype=np.int64)
-    np.cumsum(counts, out=neg_off[1:])
-    neg_idx = np.arange(cands.shape[0], dtype=np.int64)
-    return cands, neg_idx, neg_off
-
-
 def weighted_nce_csr(
     q1: np.ndarray,
     pos_flat: np.ndarray,
@@ -245,11 +227,14 @@ def weighted_nce_csr(
     neg_off: np.ndarray,
     t: float,
 ) -> LossOutput:
-    """Batch-mean weighted NCE over pre-packed ragged segments.
+    """Batch-mean weighted NCE over ragged positive and negative segments.
 
-    This is the single entry point every loss below reduces to; the trainer
-    calls it directly with shared candidate matrices to avoid copies. No
-    input validation happens here beyond what the kernel needs.
+    The layout is ``nce_loss_grad``'s: query i owns the positives
+    ``pos_off[i]:pos_off[i+1]`` of ``pos_flat``/``w_flat`` and the
+    negatives ``cands[neg_idx[neg_off[i]:neg_off[i+1]]]``. The trainer
+    reads both pools' lists off its (query x candidate) masks and shares
+    one candidate matrix per pool, so no negative row is copied. No input
+    validation happens here beyond what the kernel needs.
     """
     q1 = np.asarray(q1, dtype=np.float64)
     bsz = q1.shape[0]
@@ -261,73 +246,4 @@ def weighted_nce_csr(
         value=float(per_query.mean()) if bsz else 0.0,
         grad_q=grad / max(bsz, 1),
         neg_counts=neg_counts,
-        per_query=per_query,
     )
-
-
-def hard_loss(
-    q1: np.ndarray,
-    z2: np.ndarray,
-    negatives: Sequence[np.ndarray],
-    t: float,
-    w0: float = 1.0,
-) -> LossOutput:
-    """One-positive contrastive loss against the query's own view.
-
-    The soft loss with each query's unit target view z2 (B, d) as its only
-    member, weighted w0. ``q1`` holds the (B, d) raw predictions; the
-    gradient is with respect to these rows. ``negatives`` holds per-query
-    arrays of unit rows, any subset of the batch negatives, possibly empty.
-    """
-    z2 = np.asarray(z2, dtype=np.float64)
-    return soft_loss(q1, z2[:, None], np.full((len(z2), 1), float(w0)), negatives, t)
-
-
-def soft_loss(
-    q1: np.ndarray,
-    members: np.ndarray,
-    weights: np.ndarray,
-    negative_sets: Sequence[np.ndarray],
-    t: float,
-) -> LossOutput:
-    """Weighted multi-positive loss over each query's mined neighbor set.
-
-    ``members`` (B, k+1, d) holds each query's view and mined neighbors as
-    unit rows, ``weights`` (B, k+1) their nonnegative weights. Every member
-    sits in the numerator, weighted, and in the shared denominator beside
-    that query's negatives.
-    """
-    q1 = np.asarray(q1, dtype=np.float64)
-    members = np.asarray(members, dtype=np.float64)
-    weights = np.asarray(weights, dtype=np.float64)
-    bsz, dim = q1.shape
-    if members.ndim != 3 or members.shape[0] != bsz or members.shape[2] != dim:
-        raise ValueError(f"members {members.shape} do not fit queries {q1.shape}")
-    if weights.shape != members.shape[:2]:
-        raise ValueError(f"weights {weights.shape} do not fit members {members.shape}")
-    if len(negative_sets) != bsz:
-        raise ValueError("one negative set per query required")
-    pos_flat = members.reshape(-1, dim)
-    check_unit_rows(pos_flat, "members")
-    if np.any(weights < 0):
-        raise ValueError("negative weights")
-    cands, neg_idx, neg_off = _pack_negatives(negative_sets, dim)
-    pos_off = np.arange(bsz + 1, dtype=np.int64) * members.shape[1]
-    return weighted_nce_csr(
-        q1, pos_flat, weights.reshape(-1), pos_off, cands, neg_idx, neg_off, t
-    )
-
-
-def psm_loss(soft: LossOutput, hard: LossOutput, lam: float) -> LossOutput:
-    """Total loss: soft + lam * hard, gradients combined likewise."""
-    if soft.grad_q.shape != hard.grad_q.shape:
-        raise ValueError(
-            f"gradient shapes differ: {soft.grad_q.shape} vs {hard.grad_q.shape}"
-        )
-    return LossOutput(
-        value=soft.value + lam * hard.value,
-        grad_q=soft.grad_q + lam * hard.grad_q,
-        neg_counts=soft.neg_counts + hard.neg_counts,
-        per_query=soft.per_query + lam * hard.per_query,
-    )
-

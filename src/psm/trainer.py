@@ -53,7 +53,6 @@ from .ppsm import (
     WEIGHT_SPAN_MINED_ONLY,
     WEIGHT_SPAN_WITH_VIEW,
     apply_weight_strategy,
-    psm_loss,
     soft_weights,
     weighted_nce_csr,
 )
@@ -169,15 +168,6 @@ class _StepEval:
     retained_mean: float
 
 
-def _zero_loss(bsz: int, dim: int) -> LossOutput:
-    return LossOutput(
-        value=0.0,
-        grad_q=np.zeros((bsz, dim)),
-        neg_counts=np.zeros(bsz, dtype=np.int64),
-        per_query=np.zeros(bsz),
-    )
-
-
 def _offsets(neg: np.ndarray) -> np.ndarray:
     """CSR offsets of a (B, M) mask: row i owns the flat run off[i]:off[i+1]."""
     off = np.zeros(neg.shape[0] + 1, dtype=np.int64)
@@ -185,26 +175,21 @@ def _offsets(neg: np.ndarray) -> np.ndarray:
     return off
 
 
-def _pool_loss(
+def _pool_mask(
     cfg: TrainConfig,
     q: np.ndarray,
     view: np.ndarray,
-    pos: np.ndarray,
-    w: np.ndarray,
     cands: np.ndarray,
     owner: np.ndarray,
     rng: RngState,
-    *tags: int | str,
-) -> LossOutput:
-    """Weighted NCE of q against one candidate pool, Bernoulli-filtered when mining.
+) -> NDArray[np.bool_]:
+    """The (B, M) negative mask of one candidate pool, Bernoulli-thinned when mining.
 
-    Each query owns ``len(w) // B`` consecutive rows of ``pos``. The pool
-    is the dense (B, M) mask ``neg``: query i may take candidate m as a
-    negative unless ``owner[m] == i``, that is, unless the candidate holds
-    one of the query's own rows. Mining anchors at the similarity of q to
-    ``view``, draws from ``rng.split(*tags)`` one uniform per True cell in
-    row-major order, and clears the rejected cells. The flat CSR lists the
-    kernel takes are read off the mask once, in the same row-major order.
+    Query i may take candidate m as a negative unless ``owner[m] == i``,
+    that is, unless the candidate holds one of the query's own rows.
+    Mining anchors at the similarity of q to ``view``, draws from ``rng``
+    one uniform per True cell in row-major order, and clears the rejected
+    cells.
     """
     bsz, n_cands = q.shape[0], cands.shape[0]
     neg = np.ones((bsz, n_cands), dtype=bool)
@@ -212,13 +197,29 @@ def _pool_loss(
     if cfg.use_pnsm:
         s_pos = np.clip(np.einsum("bd,bd->b", q, view), -1.0, 1.0)
         sims = np.clip(q @ cands.T, -1.0, 1.0)
-        _, keep = filter_csr(
-            sims[neg], s_pos, _offsets(neg), MiningConfig(a=cfg.a), rng.split(*tags)
-        )
+        _, keep = filter_csr(sims[neg], s_pos, _offsets(neg), MiningConfig(a=cfg.a), rng)
         neg[neg] = keep
+    return neg
+
+
+def _masked_nce(
+    q: np.ndarray,
+    pos: np.ndarray,
+    w: np.ndarray,
+    cands: np.ndarray,
+    neg: np.ndarray,
+    t: float,
+) -> LossOutput:
+    """Weighted NCE of q against the candidates its mask row keeps.
+
+    Each query owns ``len(w) // B`` consecutive rows of ``pos``. The flat
+    CSR lists the kernel takes are read off the mask once, in row-major
+    order.
+    """
+    bsz, n_cands = neg.shape
     idx = np.broadcast_to(np.arange(n_cands), neg.shape)[neg]
     pos_off = np.arange(bsz + 1, dtype=np.int64) * (len(w) // bsz)
-    return weighted_nce_csr(q, pos, w, pos_off, cands, idx, _offsets(neg), cfg.t)
+    return weighted_nce_csr(q, pos, w, pos_off, cands, idx, _offsets(neg), t)
 
 
 def _mean_of_passes(a: _StepEval, b: _StepEval) -> _StepEval:
@@ -253,34 +254,33 @@ def _psm_pass(
     weights = soft_weights(z1, members, cfg.weight_span)
     weights = apply_weight_strategy(weights, cfg.strategy, k_eff)
 
-    hard = _zero_loss(bsz, dim)
-    soft = _zero_loss(bsz, dim)
+    # A disabled pool adds a zero value and a zero gradient.
+    soft_value = hard_value = 0.0
+    soft_grad = hard_grad = 0.0
     retained = 0.0
     if cfg.use_hard:
-        hard = _pool_loss(
-            cfg, q1, pos_view, pos_view, np.ones(bsz), cands_hard,
-            np.tile(np.arange(bsz), 2), rng_pnsm, "hard",
-        )
+        owner = np.tile(np.arange(bsz), 2)
+        neg = _pool_mask(cfg, q1, pos_view, cands_hard, owner, rng_pnsm.split("hard"))
+        hard = _masked_nce(q1, pos_view, np.ones(bsz), cands_hard, neg, cfg.t)
+        hard_value, hard_grad = hard.value, hard.grad_q
         retained += float(hard.neg_counts.mean())
     if cfg.use_soft:
         cands_soft = members.reshape(bsz * p_count, dim)
-        soft = _pool_loss(
-            cfg, q1, pos_view, cands_soft, weights.reshape(-1), cands_soft,
-            np.repeat(np.arange(bsz), p_count), rng_pnsm, "soft",
-        )
+        owner = np.repeat(np.arange(bsz), p_count)
+        neg = _pool_mask(cfg, q1, pos_view, cands_soft, owner, rng_pnsm.split("soft"))
+        soft = _masked_nce(q1, cands_soft, weights.reshape(-1), cands_soft, neg, cfg.t)
+        soft_value, soft_grad = soft.value, soft.grad_q
         retained += float(soft.neg_counts.mean())
-
-    total = psm_loss(soft, hard, cfg.lam)
 
     purity_top1 = purity_topk = None
     if k_eff > 0 and bank.has_labels:
         purity_top1, purity_topk = purity(bank.labels_at(nb_idx), labels)
 
     return _StepEval(
-        loss=total.value,
-        soft_value=soft.value,
-        hard_value=hard.value,
-        grads_per_pass=[(cache, total.grad_q)],
+        loss=soft_value + cfg.lam * hard_value,
+        soft_value=soft_value,
+        hard_value=hard_value,
+        grads_per_pass=[(cache, soft_grad + cfg.lam * hard_grad)],
         purity_top1=purity_top1,
         purity_topk=purity_topk,
         retained_mean=retained,
@@ -333,9 +333,8 @@ def _evaluate_baseline_step(
     rng_pnsm = root.split("pnsm", epoch, step)
     passes = []
     for pass_no, (q, pos, cache) in enumerate(((z1a, z1b, cache_a), (z1b, z1a, cache_b))):
-        out = _pool_loss(
-            cfg, q, pos, pos, np.ones(bsz), cands, owner, rng_pnsm, "pass", pass_no
-        )
+        neg = _pool_mask(cfg, q, pos, cands, owner, rng_pnsm.split("pass", pass_no))
+        out = _masked_nce(q, pos, np.ones(bsz), cands, neg, cfg.t)
         passes.append(
             _StepEval(
                 loss=out.value,

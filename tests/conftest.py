@@ -9,9 +9,11 @@ import json
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from psm import cli
+from psm.trainer import _masked_nce, _pool_mask
 
 DESK_ARGS = [
     "pretrain",
@@ -51,3 +53,23 @@ def tiny_sets():
     train = gen_clusters(3, 32, 16, 6.0, seed=11, split="train")
     test = gen_clusters(3, 8, 16, 6.0, seed=11, split="test")
     return train, test
+
+
+# The trainer's two pools as losses of the raw queries: _pool_mask builds
+# the (B, M) negative mask from the owner array, drawn once at q_unit and
+# then held fixed, and _masked_nce reads the CSR lists off it.
+def hard_pool(cfg, q_unit, view, other, rng):
+    """The hard pool: the 2B target rows [other; view], owner ``tile``."""
+    bsz = len(view)
+    cands = np.concatenate([other, view])
+    neg = _pool_mask(cfg, q_unit, view, cands, np.tile(np.arange(bsz), 2), rng)
+    return lambda q: _masked_nce(q, view, np.ones(bsz), cands, neg, cfg.t)
+
+
+def soft_pool(cfg, q_unit, members, weights, rng):
+    """The soft pool: every query's members as candidates, owner ``repeat``."""
+    bsz, p_count, dim = members.shape
+    cands = members.reshape(bsz * p_count, dim)
+    owner = np.repeat(np.arange(bsz), p_count)
+    neg = _pool_mask(cfg, q_unit, members[:, 0], cands, owner, rng)
+    return lambda q: _masked_nce(q, cands, weights.reshape(-1), cands, neg, cfg.t)

@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import DESK_ARGS
+from conftest import DESK_ARGS, hard_pool, soft_pool
 
 from psm import cli
 from psm.data import gen_clusters
@@ -31,15 +31,9 @@ from psm.network import (
     lr_at,
 )
 from psm.numerics import RngState, l2_normalize_rows, softmax
-from psm.pnsm import MiningConfig, filter_csr, mine_negatives, mining_probability
-from psm.ppsm import (
-    apply_weight_strategy,
-    hard_loss,
-    psm_loss,
-    soft_loss,
-    soft_weights,
-)
-from psm.trainer import TrainConfig, pretrain
+from psm.pnsm import mine_mask
+from psm.ppsm import apply_weight_strategy, soft_weights
+from psm.trainer import TrainConfig, _pool_mask, pretrain
 
 
 def _report(tag: str, ok: bool, detail: str) -> None:
@@ -67,7 +61,7 @@ def _rel_err(fd, an):
 
 
 def _loss_instance(seed: int):
-    """Random ragged loss instance; odd seeds apply a frozen mining mask."""
+    """Random instance of the trainer's two pools; odd seeds freeze a mined mask."""
     rng = RngState(9000 + seed)
     n = 2 + seed % 7
     d = 2 + (seed * 3) % 15
@@ -76,72 +70,33 @@ def _loss_instance(seed: int):
     lam = 1.0 + (seed % 3) * 0.75
     q = rng.split("q").normal((n, d))
     z2 = l2_normalize_rows(rng.split("z2").normal((n, d)))
-    members, weights, soft_negs, hard_negs = [], [], [], []
+    other = l2_normalize_rows(rng.split("hn").normal((n, d)))
+    members, weights = [], []
     for i in range(n):
-        extra = (
-            l2_normalize_rows(rng.split("m", i).normal((k, d)))
-            if k
-            else np.zeros((0, d))
-        )
+        extra = l2_normalize_rows(rng.split("m", i).normal((k, d)))
         members.append(np.concatenate([z2[i][None, :], extra], axis=0))
         raw_w = rng.split("w", i).uniform(k + 1) + 0.1
         weights.append(raw_w / raw_w.sum())
-        n_negs = (seed + i) % 5
-        for pool in (soft_negs, hard_negs):
-            tag = "sn" if pool is soft_negs else "hn"
-            pool.append(
-                l2_normalize_rows(rng.split(tag, i).normal((n_negs, d)))
-                if n_negs
-                else np.zeros((0, d))
-            )
-    if seed % 2 == 1:
-        qn = l2_normalize_rows(q)
-        s_pos = np.clip(np.einsum("ij,ij->i", qn, z2), -1.0, 1.0)
-        cfg = MiningConfig(a=2.0)
-        for pool, tag in ((soft_negs, "ms"), (hard_negs, "mh")):
-            for i in range(n):
-                mined = mine_negatives(
-                    qn[i],
-                    float(s_pos[i]),
-                    pool[i],
-                    cfg,
-                    rng.split(tag, i),
-                    query_id=i,
-                )
-                pool[i] = pool[i][mined.kept]
-    return q, z2, np.stack(members), np.stack(weights), soft_negs, hard_negs, t, lam
+    cfg = TrainConfig(t=t, a=2.0, use_pnsm=seed % 2 == 1)
+    q_unit = l2_normalize_rows(q)
+    hard = hard_pool(cfg, q_unit, z2, other, rng.split("mh"))
+    soft = soft_pool(cfg, q_unit, np.stack(members), np.stack(weights), rng.split("ms"))
+    return q, hard, soft, lam
 
 
 def test_criterion_01_loss_gradients_match_finite_differences():
     start = time.perf_counter()
     worst = 0.0
     for seed in range(100):
-        q, z2, sets, weights, s_negs, h_negs, t, lam = _loss_instance(seed)
-
-        def f_hard(qq):
-            return hard_loss(qq, z2, h_negs, t).value
-
-        def f_soft(qq):
-            return soft_loss(qq, sets, weights, s_negs, t).value
+        q, hard, soft, lam = _loss_instance(seed)
 
         def f_total(qq):
-            return psm_loss(
-                soft_loss(qq, sets, weights, s_negs, t),
-                hard_loss(qq, z2, h_negs, t),
-                lam,
-            ).value
+            return soft(qq).value + lam * hard(qq).value
 
         pairs = (
-            (f_hard, hard_loss(q, z2, h_negs, t).grad_q),
-            (f_soft, soft_loss(q, sets, weights, s_negs, t).grad_q),
-            (
-                f_total,
-                psm_loss(
-                    soft_loss(q, sets, weights, s_negs, t),
-                    hard_loss(q, z2, h_negs, t),
-                    lam,
-                ).grad_q,
-            ),
+            (lambda qq: hard(qq).value, hard(q).grad_q),
+            (lambda qq: soft(qq).value, soft(q).grad_q),
+            (f_total, soft(q).grad_q + lam * hard(q).grad_q),
         )
         for fn, analytic in pairs:
             worst = max(worst, _rel_err(_fd_matrix(fn, q), analytic))
@@ -165,32 +120,24 @@ def test_criterion_02_parameter_gradients_match_finite_differences():
         rng = RngState(61)
         x = rng.split("x").normal((6, 8))
         d_out, k, t, lam = 5, 3, 0.5, 1.0
+        cfg = TrainConfig(t=t, use_pnsm=False)
         z2 = l2_normalize_rows(rng.split("z2").normal((6, d_out)))
-        sets, weights, s_negs, h_negs = [], [], [], []
+        other = l2_normalize_rows(rng.split("hn").normal((6, d_out)))
+        sets, weights = [], []
         for i in range(6):
             extra = l2_normalize_rows(rng.split("m", i).normal((k, d_out)))
             sets.append(np.concatenate([z2[i][None, :], extra], axis=0))
             raw_w = rng.split("w", i).uniform(k + 1) + 0.1
             weights.append(raw_w / raw_w.sum())
-            s_negs.append(l2_normalize_rows(rng.split("sn", i).normal((3, d_out))))
-            h_negs.append(l2_normalize_rows(rng.split("hn", i).normal((3, d_out))))
-        sets, weights = np.stack(sets), np.stack(weights)
+        _, q1, cache = forward_online(params, x, train=True)
+        hard = hard_pool(cfg, q1, z2, other, rng.split("mh"))
+        soft = soft_pool(cfg, q1, np.stack(sets), np.stack(weights), rng.split("ms"))
 
         def loss_at(p):
             _, q1, _ = forward_online(p, x, train=True)
-            return psm_loss(
-                soft_loss(q1, sets, weights, s_negs, t),
-                hard_loss(q1, z2, h_negs, t),
-                lam,
-            ).value
+            return soft(q1).value + lam * hard(q1).value
 
-        _, q1, cache = forward_online(params, x, train=True)
-        total = psm_loss(
-            soft_loss(q1, sets, weights, s_negs, t),
-            hard_loss(q1, z2, h_negs, t),
-            lam,
-        )
-        grads = backward(params, cache, grad_q1=total.grad_q)
+        grads = backward(params, cache, grad_q1=soft(q1).grad_q + lam * hard(q1).grad_q)
         fd = {}
         for key, tensor in iter_trainable(params):
             approx = np.zeros_like(tensor)
@@ -266,6 +213,27 @@ def test_criterion_04_weight_simplex_and_strategy_rules():
     )
 
 
+def _shared_pool_mask(sims, s_pos_val, a, rng, trials):
+    """Mining mask of ``trials`` identical queries over one shared candidate row.
+
+    Every query is e1 and its view sits at similarity ``s_pos_val``; each
+    candidate sits at its entry of ``sims``. An extra last query owns every
+    candidate, so the trial rows lose none to the owner rule and its own
+    empty row comes after theirs in the uniform order.
+    """
+    q = np.tile([1.0, 0.0], (trials + 1, 1))
+    view = np.tile(_vec_with_sim(s_pos_val), (trials + 1, 1))
+    cands = np.stack([_vec_with_sim(s) for s in sims])
+    owner = np.full(len(sims), trials)
+    neg = _pool_mask(TrainConfig(a=a), q, view, cands, owner, rng)
+    return neg[:trials]
+
+
+def _vec_with_sim(s):
+    """Unit 2-vector whose dot product with (1, 0) equals s."""
+    return np.array([s, np.sqrt(1.0 - s * s)])
+
+
 def test_criterion_05_retention_distribution():
     start = time.perf_counter()
     trials = 10_000
@@ -273,18 +241,20 @@ def test_criterion_05_retention_distribution():
     worst_gap, worst_tol = 0.0, 1.0
     for a in (0.0, 0.5, 2.0, 100.0):
         for ds in (0.0, 0.3, 1.0):
-            p = mining_probability(s_pos_val - ds, s_pos_val, a)
-            sims = np.tile([s_pos_val - ds, s_pos_val], trials)
-            s_pos = np.full(trials, s_pos_val)
-            off = np.arange(trials + 1, dtype=np.int64) * 2
-            probs, keep = filter_csr(
-                sims, s_pos, off, MiningConfig(a=a), RngState(int(a * 10 + ds * 100))
+            s_neg = s_pos_val - ds
+            p = float(np.exp(-a * (s_neg - s_pos_val) ** 2))
+            probs, _ = mine_mask(
+                np.array([s_neg, s_pos_val]), np.array([s_pos_val]),
+                np.array([0, 2]), a, np.zeros(2),
+            )
+            np.testing.assert_allclose(probs, [p, 1.0], atol=1e-12)
+            keep = _shared_pool_mask(
+                [s_neg, s_pos_val], s_pos_val, a, RngState(int(a * 10 + ds * 100)), trials
             )
             # the companion candidate sits at zero gap, so it is always kept
             # and the fallback can never interfere with the measured slot
-            assert keep[1::2].all()
-            np.testing.assert_allclose(probs[0::2], p, atol=1e-12)
-            frac = float(keep[0::2].mean())
+            assert keep[:, 1].all()
+            frac = float(keep[:, 0].mean())
             tol = max(3.0 * np.sqrt(p * (1.0 - p) / trials), 1e-5)
             gap = abs(frac - p)
             if gap / tol > worst_gap / worst_tol:
@@ -293,14 +263,8 @@ def test_criterion_05_retention_distribution():
             if a == 0.0:
                 assert keep.all()
     # hopeless pools still yield one negative: the highest-probability one
-    sims = np.tile([-0.1, 0.1, 0.0], trials)
-    off3 = np.arange(trials + 1, dtype=np.int64) * 3
-    _, keep = filter_csr(
-        sims, np.full(trials, s_pos_val), off3, MiningConfig(a=100.0), RngState(55)
-    )
-    fallback_ok = bool(
-        np.all(keep.reshape(trials, 3) == np.array([False, True, False]))
-    )
+    keep = _shared_pool_mask([-0.1, 0.1, 0.0], s_pos_val, 100.0, RngState(55), trials)
+    fallback_ok = bool(np.all(keep == np.array([False, True, False])))
     elapsed = time.perf_counter() - start
     _report(
         "5",

@@ -253,6 +253,17 @@ class TestExitCodes:
         assert code == 2
         assert not out.exists()
 
+    def test_negative_label_data_csv(self, tmp_path, capsys):
+        ds = Dataset(RngState(5).normal((40, 3)), np.arange(40, dtype=np.int64) % 2)
+        ds.labels[17] = -1
+        path = tmp_path / "neg.csv"
+        save_csv(ds, path)
+        out = tmp_path / "o"
+        code = cli.main(["pretrain", "--data", str(path), "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+        assert "line 19: negative label" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -321,6 +332,21 @@ class TestProbe:
         assert code == 2
         err = capsys.readouterr().err
         assert "data dim 9" in err and "checkpoint input dim 8" in err
+
+    @pytest.mark.parametrize("mode", ["knn", "linear"])
+    def test_negative_label_is_data_error(self, mini_run, tmp_path, capsys, mode):
+        # without the check, linear mode put label -1 in the last one-hot
+        # column and printed wrong accuracies with exit 0
+        ds = Dataset(RngState(6).normal((48, 8)), np.arange(48, dtype=np.int64) % 3)
+        ds.labels[4] = -1
+        path = tmp_path / "neg.csv"
+        save_csv(ds, path)
+        checkpoint = str(mini_run / "checkpoint.psmc")
+        argv = ["probe", "--checkpoint", checkpoint, "--data", str(path), "--mode", mode]
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == "" and "line 6: negative label" in captured.err
 
     def test_missing_checkpoint_is_data_error(self, tmp_path):
         code = cli.main(
@@ -478,7 +504,7 @@ def _reference_mine_lines(bank_path, query_path, mode, k, a, seed):
     lines = []
     if mode == "positive":
         for i, q in enumerate(queries):
-            ns = query_topk(bank, q, k, query_id=i)
+            ns = query_topk(bank, q, k)
             idx = ",".join(str(int(v)) for v in ns.bank_indices)
             sims = ",".join(repr(float(v)) for v in ns.sims[1:])
             lines.append(f"query={i} indices=[{idx}] sims=[{sims}]")
@@ -490,7 +516,7 @@ def _reference_mine_lines(bank_path, query_path, mode, k, a, seed):
         cand_rows = np.delete(np.arange(len(bank)), anchor)
         mined = mine_negatives(
             q, float(sims[anchor]), entries[cand_rows], MiningConfig(a=a),
-            rng.split("mine", i), query_id=i,
+            rng.split("mine", i),
         )
         kept = ",".join(str(int(v)) for v in cand_rows[mined.kept])
         probs = ",".join(repr(float(v)) for v in mined.probs[mined.kept])
@@ -676,6 +702,25 @@ class TestMine:
             "query=0 indices=[] sims=[]",
             "query=1 indices=[] sims=[]",
         ]
+
+    @pytest.mark.parametrize("mode", ["positive", "negative"])
+    @pytest.mark.parametrize("bad", [2.0, float("nan")])
+    def test_malformed_bank_row_is_data_error(
+        self, tmp_path, bank_and_queries, capsys, mode, bad
+    ):
+        _, query_path = bank_and_queries
+        rows = l2_normalize_rows(RngState(8).normal((3, 4)))
+        rows[1] = bad * np.array([1.0, 0.0, 0.0, 0.0])
+        path = tmp_path / "bad_row.psmb"
+        # magic, version, capacity 4, count 3, dim 4, no labels, the rows
+        path.write_bytes(
+            b"PSMB" + struct.pack("<IQQQB", 1, 4, 3, 4, 0) + rows.astype("<f8").tobytes()
+        )
+        argv = ["mine", "--bank", str(path), "--query", str(query_path), "--mode", mode]
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == "" and "in row 1" in captured.err
 
     def test_corrupt_bank_is_data_error(self, tmp_path, bank_and_queries):
         _, query_path = bank_and_queries

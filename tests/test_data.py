@@ -169,6 +169,12 @@ class TestCsv:
         with pytest.raises(DataFormatError, match="line 4: non-finite"):
             load_csv(path)
 
+    def test_negative_label_reports_line_number(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("label,f0,f1\n0,1.0,2.0\n\n-1,3.0,4.0\n")
+        with pytest.raises(DataFormatError, match="line 4: negative label"):
+            load_csv(path)
+
     def test_bad_header(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("foo,f0,f1\n0,1.0,2.0\n")

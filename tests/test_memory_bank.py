@@ -107,7 +107,7 @@ class TestQueryTopk:
         bank = MemoryBank(4, 3)
         q = np.array([1.0, 0.0, 0.0])
         ns = query_topk(bank, q, 5)
-        assert ns.k == 0
+        assert ns.bank_indices.size == 0
         np.testing.assert_array_equal(ns.members, q[None, :])
         assert ns.sims.tolist() == [1.0]
 
@@ -115,13 +115,13 @@ class TestQueryTopk:
         bank = MemoryBank(4, 3)
         bank.enqueue_batch(np.eye(3))
         ns = query_topk(bank, np.array([1.0, 0.0, 0.0]), 0)
-        assert ns.k == 0 and ns.bank_indices.size == 0
+        assert ns.bank_indices.size == 0 and len(ns.members) == 1
 
     def test_small_bank_returns_everything(self):
         bank = MemoryBank(8, 3)
         bank.enqueue_batch(np.eye(3))
         ns = query_topk(bank, np.array([1.0, 0.0, 0.0]), 7)
-        assert ns.k == 3
+        assert ns.bank_indices.tolist() == [0, 1, 2] and len(ns.members) == 4
 
     def test_dim_mismatch(self):
         bank = MemoryBank(4, 3)

@@ -7,7 +7,6 @@ from psm.pnsm import (
     filter_csr,
     mine_mask,
     mine_negatives,
-    mining_probability,
 )
 
 
@@ -15,35 +14,40 @@ def _vec_with_sim(s):
     return np.array([s, np.sqrt(1.0 - s * s)])
 
 
+def _probs(s_neg, s_pos, a):
+    """mine_mask's retention probabilities of one query's candidates."""
+    s_neg = np.atleast_1d(np.asarray(s_neg, dtype=np.float64))
+    off = np.array([0, len(s_neg)], dtype=np.int64)
+    probs, _ = mine_mask(s_neg, np.array([s_pos]), off, a, np.zeros(len(s_neg)))
+    return probs
+
+
 class TestMiningProbability:
     def test_scalar_oracle(self):
-        assert mining_probability(0.0, 1.0, 0.5) == pytest.approx(
-            np.exp(-0.5), abs=1e-15
-        )
+        assert _probs(0.0, 1.0, 0.5)[0] == pytest.approx(np.exp(-0.5), abs=1e-15)
 
     def test_zero_gap_is_certain(self):
-        assert mining_probability(0.7, 0.7, 3.0) == 1.0
+        assert _probs(0.7, 0.7, 3.0)[0] == 1.0
 
     def test_a_zero_is_certain(self):
-        assert mining_probability(-1.0, 1.0, 0.0) == 1.0
+        assert _probs(-1.0, 1.0, 0.0)[0] == 1.0
 
     def test_array_input(self):
-        p = mining_probability(np.array([0.0, 0.5]), 0.5, 2.0)
+        p = _probs([0.0, 0.5], 0.5, 2.0)
         np.testing.assert_allclose(p, [np.exp(-0.5), 1.0], atol=1e-15)
 
     def test_negative_a_rejected(self):
         with pytest.raises(ValueError):
-            mining_probability(0.0, 0.0, -1.0)
+            _probs(0.0, 0.0, -1.0)
 
     @pytest.mark.parametrize("a", [float("nan"), float("inf")])
     def test_non_finite_a_rejected(self, a):
         with pytest.raises(ValueError):
-            mining_probability(0.0, 0.0, a)
+            _probs(0.0, 0.0, a)
 
     def test_symmetry_in_gap(self):
-        assert mining_probability(0.2, 0.5, 1.3) == pytest.approx(
-            mining_probability(0.8, 0.5, 1.3), abs=1e-15
-        )
+        p = _probs([0.2, 0.8], 0.5, 1.3)
+        assert p[0] == pytest.approx(p[1], abs=1e-15)
 
 
 class TestMineNegatives:

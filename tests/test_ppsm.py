@@ -1,19 +1,21 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from conftest import hard_pool, soft_pool
 
+from psm.memory_bank import MemoryBank
+from psm.network import NetworkConfig, init_params
 from psm.numerics import RngState, l2_normalize_rows
 from psm.ppsm import (
     STRATEGIES,
     WEIGHT_SPAN_MINED_ONLY,
     WEIGHT_SPAN_WITH_VIEW,
-    LossOutput,
     apply_weight_strategy,
-    hard_loss,
     nce_loss_grad,
-    psm_loss,
-    soft_loss,
     soft_weights,
 )
+from psm.trainer import TrainConfig, _masked_nce, _psm_pass
 
 
 def _vec_with_sim(s):
@@ -185,25 +187,30 @@ class TestStrategies:
         assert STRATEGIES == ("V0", "V1", "V2", "V3", "V4")
 
 
+def _pool(build, q, *args):
+    """One of conftest's pool losses over raw q, unmined, at t = 0.5."""
+    return build(TrainConfig(t=0.5, use_pnsm=False), l2_normalize_rows(q), *args, RngState(0))
+
+
 class TestHardLoss:
     def test_ln2_when_negative_equals_positive(self):
-        q = np.array([[1.0, 0.0]])
         z2 = np.array([[1.0, 0.0]])
-        out = hard_loss(q, z2, [z2[0:1]], t=0.5)
+        out = _masked_nce(z2, z2, np.ones(1), z2, np.ones((1, 1), dtype=bool), 0.5)
         assert out.value == pytest.approx(np.log(2.0), abs=1e-12)
 
     def test_two_logit_oracle(self):
         # s_pos=1, s_neg=0.4, t=0.5: loss = ln(1 + e^{-1.2})
-        q = np.array([[1.0, 0.0]])
         z2 = np.array([[1.0, 0.0]])
         neg = _vec_with_sim(0.4)[None, :]
-        out = hard_loss(q, z2, [neg], t=0.5)
+        out = _masked_nce(z2, z2, np.ones(1), neg, np.ones((1, 1), dtype=bool), 0.5)
         assert out.value == pytest.approx(np.log1p(np.exp(-1.2)), abs=1e-12)
 
     def test_no_negatives_zero_loss(self):
+        # a single query owns both of the pool's rows, so it has no negatives
         q = np.array([[0.0, 2.0]])  # raw, normalized internally
         z2 = np.array([[0.0, 1.0]])
-        out = hard_loss(q, z2, [np.zeros((0, 2))], t=0.5)
+        out = _pool(hard_pool, q, z2, np.array([[1.0, 0.0]]))(q)
+        assert out.neg_counts.tolist() == [0]
         assert out.value == pytest.approx(0.0, abs=1e-12)
         np.testing.assert_allclose(out.grad_q, 0.0, atol=1e-12)
 
@@ -211,103 +218,98 @@ class TestHardLoss:
         rng = RngState(2)
         q = rng.normal((3, 4))
         z2 = l2_normalize_rows(rng.normal((3, 4)))
-        negs = [l2_normalize_rows(rng.normal((2, 4))) for _ in range(3)]
-        out = hard_loss(q, z2, negs, t=0.5)
-        assert out.value == pytest.approx(out.per_query.mean(), abs=1e-12)
-        assert out.neg_counts.tolist() == [2, 2, 2]
+        cands = l2_normalize_rows(rng.normal((6, 4)))
+        neg = np.tile([True, True, False, True, False, True], (3, 1))
+        out = _masked_nce(q, z2, np.ones(3), cands, neg, 0.5)
+        rows = [
+            _masked_nce(q[i : i + 1], z2[i : i + 1], np.ones(1), cands, neg[i : i + 1], 0.5)
+            for i in range(3)
+        ]
+        assert out.value == pytest.approx(np.mean([r.value for r in rows]), abs=1e-12)
+        np.testing.assert_allclose(
+            out.grad_q, np.vstack([r.grad_q for r in rows]) / 3, rtol=0, atol=1e-15
+        )
+        assert out.neg_counts.tolist() == [4, 4, 4]
+        pool = _pool(hard_pool, q, z2, cands[:3])(q)
+        assert pool.neg_counts.tolist() == [4, 4, 4]  # 2B rows less the query's two
 
     def test_more_negatives_raise_loss(self):
         rng = RngState(4)
         q = rng.normal((1, 6))
         z2 = l2_normalize_rows(rng.normal((1, 6)))
-        neg = l2_normalize_rows(rng.normal((3, 6)))
-        small = hard_loss(q, z2, [neg[:2]], t=0.5).value
-        large = hard_loss(q, z2, [neg], t=0.5).value
-        assert large > small
-
-    def test_shape_and_temperature_validation(self):
-        q = np.array([[1.0, 0.0]])
-        with pytest.raises(ValueError):
-            hard_loss(q, np.eye(2), [np.zeros((0, 2))], t=0.5)
-        with pytest.raises(ValueError):
-            hard_loss(q, q, [np.zeros((0, 2))], t=0.0)
-        with pytest.raises(ValueError):
-            hard_loss(q, q, [], t=0.5)
+        cands = l2_normalize_rows(rng.normal((3, 6)))
+        small = _masked_nce(q, z2, np.ones(1), cands, np.array([[True, True, False]]), 0.5)
+        large = _masked_nce(q, z2, np.ones(1), cands, np.ones((1, 3), dtype=bool), 0.5)
+        assert large.value > small.value
 
 
 class TestSoftLoss:
     def test_equal_sims_no_negatives_ln_kplus1(self):
-        # all members identical: simplex weights, lse collapses to ln(k+1)
+        # all members identical: simplex weights, lse collapses to ln(k+1);
+        # a single query owns every member, so the pool has no negatives
         k = 3
         q = np.array([[2.0, 0.0]])
         member = np.array([1.0, 0.0])
         members = np.tile(member, (1, k + 1, 1))
         w = soft_weights(member[None, :], members)
-        out = soft_loss(q, members, w, [np.zeros((0, 2))], t=0.5)
+        out = _pool(soft_pool, q, members, w)(q)
+        assert out.neg_counts.tolist() == [0]
         assert out.value == pytest.approx(np.log(k + 1.0), abs=1e-12)
 
     def test_k_zero_equals_hard_loss(self):
+        # with k = 0 the soft pool is the one-positive InfoNCE of each query
+        # against the other queries' views
         rng = RngState(5)
         q = rng.normal((4, 6))
         z2 = l2_normalize_rows(rng.normal((4, 6)))
-        negs = [l2_normalize_rows(rng.normal((3, 6))) for _ in range(4)]
-        soft = soft_loss(q, z2[:, None, :], np.ones((4, 1)), negs, t=0.5)
-        hard = hard_loss(q, z2, negs, t=0.5)
-        assert soft.value == pytest.approx(hard.value, abs=1e-12)
-        np.testing.assert_allclose(soft.grad_q, hard.grad_q, atol=1e-12)
+        out = _pool(soft_pool, q, z2[:, None, :], np.ones((4, 1)))(q)
+        logits = l2_normalize_rows(q) @ z2.T / 0.5
+        lse = np.log(np.exp(logits).sum(axis=1))
+        assert out.value == pytest.approx(np.mean(lse - np.diag(logits)), abs=1e-12)
+        assert out.neg_counts.tolist() == [3, 3, 3, 3]
 
     def test_zero_weights_zero_loss(self):
         rng = RngState(6)
         q = rng.normal((2, 4))
         members = np.stack([l2_normalize_rows(rng.normal((3, 4)))] * 2)
-        negs = [l2_normalize_rows(rng.normal((2, 4))) for _ in range(2)]
-        out = soft_loss(q, members, np.zeros((2, 3)), negs, t=0.5)
+        out = _pool(soft_pool, q, members, np.zeros((2, 3)))(q)
         assert out.value == 0.0
         np.testing.assert_allclose(out.grad_q, 0.0, atol=1e-15)
 
-    def test_arity_validation(self):
-        q = np.eye(2)
-        members = np.array([[[1.0, 0.0]]] * 2)
-        with pytest.raises(ValueError):
-            soft_loss(q, members[:1], np.ones((1, 1)), [np.zeros((0, 2))] * 2, t=0.5)
-        with pytest.raises(ValueError, match="weights"):
-            soft_loss(q, members, np.full((2, 2), 0.5), [np.zeros((0, 2))] * 2, t=0.5)
-        with pytest.raises(ValueError, match="negative set"):
-            soft_loss(q, members, np.ones((2, 1)), [np.zeros((0, 2))], t=0.5)
 
-    def test_non_unit_members_rejected(self):
-        with pytest.raises(ValueError, match="unit"):
-            soft_loss(np.eye(2), np.full((2, 1, 2), 0.5), np.ones((2, 1)),
-                      [np.zeros((0, 2))] * 2, t=0.5)
-
-    def test_negative_weights_rejected(self):
-        q = np.eye(2)
-        members = np.array([[[1.0, 0.0]]] * 2)
-        bad = np.full((2, 1), -0.1)
-        with pytest.raises(ValueError, match="negative"):
-            soft_loss(q, members, bad, [np.zeros((0, 2))] * 2, t=0.5)
+def _one_pass(cfg):
+    """trainer._psm_pass on a small network, a warm bank and one step's views."""
+    rng = RngState(9)
+    params = init_params(
+        NetworkConfig(in_dim=6, encoder=(8, 6), projector=(6, 5), predictor=(6, 5)),
+        rng.split("net"),
+    )
+    bank = MemoryBank(16, 5, with_labels=True)
+    bank.enqueue_batch(l2_normalize_rows(rng.split("bank").normal((12, 5))), np.arange(12) % 3)
+    x = rng.split("x").normal((4, 6))
+    z2a, z2b = (l2_normalize_rows(rng.split("z", i).normal((4, 5))) for i in (1, 2))
+    cands_hard = np.concatenate([z2a, z2b])
+    return _psm_pass(
+        cfg, params, bank, x, z2b, cands_hard, np.arange(4) % 3, rng.split("pnsm")
+    )
 
 
 class TestPsmLoss:
     def test_linear_combination(self):
-        rng = RngState(9)
-        q = rng.normal((3, 5))
-        z2 = l2_normalize_rows(rng.normal((3, 5)))
-        negs = [l2_normalize_rows(rng.normal((4, 5))) for _ in range(3)]
-        hard = hard_loss(q, z2, negs, t=0.5)
-        soft = soft_loss(q, z2[:, None, :], np.ones((3, 1)), negs, t=0.5)
-        lam = 2.5
-        total = psm_loss(soft, hard, lam)
-        assert total.value == pytest.approx(soft.value + lam * hard.value, abs=1e-12)
-        np.testing.assert_allclose(
-            total.grad_q, soft.grad_q + lam * hard.grad_q, atol=1e-12
+        # each pool draws from its own substream, so its mask, value and
+        # gradient do not depend on whether the other pool is on
+        cfg = TrainConfig(k=3, a=2.0, lam=2.5)
+        total = _one_pass(cfg)
+        soft = _one_pass(dataclasses.replace(cfg, use_hard=False))
+        hard = _one_pass(dataclasses.replace(cfg, use_soft=False))
+        assert (total.soft_value, total.hard_value) == (soft.soft_value, hard.hard_value)
+        assert soft.hard_value == 0.0 and hard.soft_value == 0.0
+        assert soft.loss == soft.soft_value and hard.loss == 2.5 * hard.hard_value
+        assert total.loss == pytest.approx(soft.soft_value + 2.5 * hard.hard_value, abs=1e-12)
+        (_, g_total), (_, g_soft), (_, g_hard) = (
+            e.grads_per_pass[0] for e in (total, soft, hard)
         )
-
-    def test_shape_mismatch_rejected(self):
-        a = LossOutput(0.0, np.zeros((2, 3)), np.zeros(2, dtype=np.int64), np.zeros(2))
-        b = LossOutput(0.0, np.zeros((3, 3)), np.zeros(3, dtype=np.int64), np.zeros(3))
-        with pytest.raises(ValueError):
-            psm_loss(a, b, 1.0)
+        np.testing.assert_allclose(g_total, g_soft + g_hard, atol=1e-12)
 
 
 def _fd_grad(fn, q, h=1e-6):
@@ -322,14 +324,17 @@ def _fd_grad(fn, q, h=1e-6):
 
 
 class TestFiniteDifferences:
+
     def test_hard_loss_gradient(self):
         rng = RngState(11)
         q = rng.normal((3, 5))
         z2 = l2_normalize_rows(rng.normal((3, 5)))
-        negs = [l2_normalize_rows(rng.normal((4, 5))) for _ in range(3)]
-        out = hard_loss(q, z2, negs, t=0.4)
-        fd = _fd_grad(lambda qq: hard_loss(qq, z2, negs, t=0.4).value, q)
-        np.testing.assert_allclose(out.grad_q, fd, rtol=0, atol=1e-7)
+        other = l2_normalize_rows(rng.normal((3, 5)))
+        # the mined mask is drawn once at q and then held fixed
+        cfg = TrainConfig(t=0.4, a=2.0)
+        loss = hard_pool(cfg, l2_normalize_rows(q), z2, other, rng.split("mine"))
+        fd = _fd_grad(lambda qq: loss(qq).value, q)
+        np.testing.assert_allclose(loss(q).grad_q, fd, rtol=0, atol=1e-7)
 
     def test_soft_loss_gradient(self):
         rng = RngState(12)
@@ -337,10 +342,10 @@ class TestFiniteDifferences:
         members = np.stack([l2_normalize_rows(rng.normal((4, 5))) for _ in range(2)])
         z1 = l2_normalize_rows(rng.normal((2, 5)))
         weights = soft_weights(z1, members)
-        negs = [l2_normalize_rows(rng.normal((3, 5))) for _ in range(2)]
-        out = soft_loss(q, members, weights, negs, t=0.6)
-        fd = _fd_grad(lambda qq: soft_loss(qq, members, weights, negs, t=0.6).value, q)
-        np.testing.assert_allclose(out.grad_q, fd, rtol=0, atol=1e-7)
+        cfg = TrainConfig(t=0.6, a=2.0)
+        loss = soft_pool(cfg, l2_normalize_rows(q), members, weights, rng.split("mine"))
+        fd = _fd_grad(lambda qq: loss(qq).value, q)
+        np.testing.assert_allclose(loss(q).grad_q, fd, rtol=0, atol=1e-7)
 
 
 def _ragged_instance(seed):
