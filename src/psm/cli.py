@@ -239,11 +239,9 @@ def cmd_diagnose(args) -> int:
 
     if args.what == "gradients":
         bank_emb = network.forward_target(target, train_ds.features)
-        bank = MemoryBank(max(len(bank_emb), 1), bank_emb.shape[1], with_labels=True)
-        bank.enqueue_batch(bank_emb, train_ds.labels)
         _, q, _ = network.forward_online(params, test_ds.features, train=False)
         z2 = network.forward_target(target, test_ds.features)
-        profile = gradient_profile(q, z2, bank, rank_depth=args.rank_depth)
+        profile = gradient_profile(q, z2, bank_emb, rank_depth=args.rank_depth)
         out.mkdir(parents=True, exist_ok=True)
         write_gradient_profile_csv(profile, out / "gradient_profile.csv")
         print(f"gradient profile written to {out / 'gradient_profile.csv'}")

@@ -43,10 +43,6 @@ class Dataset:
     def dim(self) -> int:
         return self.features.shape[1]
 
-    @property
-    def n_classes(self) -> int:
-        return int(self.labels.max()) + 1 if self.n else 0
-
 
 @dataclass
 class AugmentPolicy:

@@ -16,7 +16,6 @@ from typing import Iterable
 import numpy as np
 from numpy.typing import NDArray
 
-from .memory_bank import MemoryBank
 from .numerics import check_unit_rows, top_k_indices
 
 # Test rows per block of knn_probe's top-k selection and vote, which bounds
@@ -77,20 +76,23 @@ def _normalize_curve(curve: np.ndarray) -> np.ndarray:
 
 
 def gradient_profile(
-    queries: np.ndarray, positives: np.ndarray, bank: MemoryBank, rank_depth: int = 200
+    queries: np.ndarray, positives: np.ndarray, bank: np.ndarray, rank_depth: int = 200
 ) -> GradientProfile:
     """Mean/variance of the per-negative gradient magnitude by similarity rank.
 
-    For each query the bank entries are ranked by descending cosine
-    similarity; the entry at rank r contributes the magnitude of its BCE
-    coefficient (negative branch, similarity remapped to [0, 1]) times the
-    unit norm of d(s)/d(query). Curves are the across-query mean and
-    variance per rank, each divided by its own maximum; a curve that is
-    identically zero normalizes to all ones. The positive rank is where
-    each query's own view would slot into that ranking, 1-based, averaged.
+    ``bank`` holds the (n, d) unit rows to rank. For each query they are
+    ranked by descending cosine similarity; the row at rank r contributes
+    the magnitude of its BCE coefficient (negative branch, similarity
+    remapped to [0, 1]) times the unit norm of d(s)/d(query). Curves are
+    the across-query mean and variance per rank, each divided by its own
+    maximum; a curve that is identically zero normalizes to all ones. The
+    positive rank is where each query's own view would slot into that
+    ranking, 1-based, averaged.
     """
     if rank_depth < 1:
         raise ValueError("rank_depth must be positive")
+    bank = np.asarray(bank, dtype=np.float64)
+    check_unit_rows(bank, "bank")
     if len(bank) < rank_depth:
         raise ValueError(
             f"bank holds {len(bank)} entries; profile needs at least {rank_depth}"
@@ -101,7 +103,8 @@ def gradient_profile(
         raise ValueError("queries and positives must align")
     check_unit_rows(queries, "queries")
     check_unit_rows(positives, "positives")
-    sims = bank.similarities(queries)
+    sims = queries @ bank.T
+    np.clip(sims, -1.0, 1.0, out=sims)
     ranked = -np.sort(np.partition(-sims, rank_depth - 1, axis=1)[:, :rank_depth], axis=1)
     # statistic per (query, rank): |coefficient| * ||d s / d q|| with the
     # derivative of a dot product against a unit bank row having norm 1

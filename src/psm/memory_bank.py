@@ -1,7 +1,8 @@
 """FIFO embedding store with top-k cosine queries.
 
-The bank is a ring buffer of detached unit-norm rows from the target
-branch. Entries are value snapshots: mutating a batch after enqueue never
+The bank stores detached unit-norm rows from the target branch, oldest
+first, and nothing else: row i of its storage is the entry with enqueue
+index i. Entries are value snapshots: mutating a batch after enqueue never
 changes bank contents. Bank indices reported by queries refer to enqueue
 order, 0 being the oldest entry currently stored.
 """
@@ -40,8 +41,8 @@ class MemoryBank:
 
     Single writer; read-only queries may interleave freely between
     enqueues. Labels ride along for the purity diagnostic only and are
-    never consulted by any loss path. Storage grows with the entries, up
-    to capacity, so a large capacity costs nothing until it is used.
+    never consulted by any loss path. Storage holds exactly the current
+    entries, so a large capacity costs nothing until it is used.
     """
 
     def __init__(self, capacity: int, dim: int, with_labels: bool = False):
@@ -51,49 +52,22 @@ class MemoryBank:
         self.dim = int(dim)
         self._buf = np.zeros((0, self.dim), dtype=np.float64)
         self._labels = np.zeros(0, dtype=np.int64) if with_labels else None
-        self._ptr = 0
-        self._count = 0
-
-    def _reserve(self, rows: int) -> None:
-        # Grow storage to at least ``rows`` rows, doubling, never past capacity.
-        have = self._buf.shape[0]
-        if rows <= have:
-            return
-        size = min(self.capacity, max(rows, 2 * have))
-        buf = np.zeros((size, self.dim), dtype=np.float64)
-        buf[:have] = self._buf
-        self._buf = buf
-        if self._labels is not None:
-            labels = np.zeros(size, dtype=np.int64)
-            labels[:have] = self._labels
-            self._labels = labels
 
     def __len__(self) -> int:
-        return self._count
+        return self._buf.shape[0]
 
     @property
     def has_labels(self) -> bool:
         return self._labels is not None
 
-    def _order_map(self) -> NDArray[np.int64]:
-        # storage index of each entry, oldest first
-        if self._count < self.capacity:
-            return np.arange(self._count, dtype=np.int64)
-        return np.concatenate(
-            [
-                np.arange(self._ptr, self.capacity, dtype=np.int64),
-                np.arange(0, self._ptr, dtype=np.int64),
-            ]
-        )
-
     def entries(self) -> NDArray[np.float64]:
         """Copy of stored embeddings, oldest first."""
-        return self._buf[self._order_map()].copy()
+        return self._buf.copy()
 
     def labels(self) -> NDArray[np.int64]:
         if self._labels is None:
             raise ValueError("bank was created without labels")
-        return self._labels[self._order_map()].copy()
+        return self._labels.copy()
 
     def enqueue_batch(self, batch: np.ndarray, labels: np.ndarray | None = None) -> None:
         """Append rows, evicting the oldest entries when over capacity."""
@@ -112,48 +86,26 @@ class MemoryBank:
         elif labels is not None:
             raise ValueError("bank was created without labels")
 
-        n = batch.shape[0]
-        if n == 0:
-            return
-        self._reserve(min(self._count + n, self.capacity))
-        if n >= self.capacity:
-            self._buf[:] = batch[n - self.capacity :]
-            if self._labels is not None:
-                self._labels[:] = labels[n - self.capacity :]
-            self._ptr = 0
-            self._count = self.capacity
-            return
-        first = min(n, self.capacity - self._ptr)
-        self._buf[self._ptr : self._ptr + first] = batch[:first]
+        # keep the newest capacity - n old rows and the newest capacity new ones
+        new = slice(max(0, batch.shape[0] - self.capacity), None)
+        old = slice(max(0, len(self) + batch.shape[0] - self.capacity), None)
+        self._buf = np.concatenate([self._buf[old], batch[new]])
         if self._labels is not None:
-            self._labels[self._ptr : self._ptr + first] = labels[:first]
-        rest = n - first
-        if rest:
-            self._buf[:rest] = batch[first:]
-            if self._labels is not None:
-                self._labels[:rest] = labels[first:]
-        self._ptr = (self._ptr + n) % self.capacity
-        self._count = min(self._count + n, self.capacity)
+            self._labels = np.concatenate([self._labels[old], labels[new]])
 
     def labels_at(self, order_indices: np.ndarray) -> NDArray[np.int64]:
         """Labels for entries addressed in enqueue order."""
         if self._labels is None:
             raise ValueError("bank was created without labels")
-        storage = self._order_map()[np.asarray(order_indices, dtype=np.int64)]
-        return self._labels[storage]
+        return self._labels[np.asarray(order_indices, dtype=np.int64)]
 
     def similarities(self, z2: np.ndarray) -> NDArray[np.float64]:
         """Cosine similarity of each query row to every entry, oldest first.
 
-        Shape (B, count) for a (B, d) query block. Once the ring has
-        wrapped, the product's two column runs are swapped into enqueue
-        order by slice copies.
+        Shape (B, len(bank)) for a (B, d) query block.
         """
         z2 = np.atleast_2d(np.asarray(z2, dtype=np.float64))
-        sims = z2 @ self._buf[: min(self._count, self.capacity)].T
-        ptr = self._ptr
-        if self._count == self.capacity and ptr != 0:
-            sims = np.concatenate([sims[:, ptr:], sims[:, :ptr]], axis=1)
+        sims = z2 @ self._buf.T
         return np.clip(sims, -1.0, 1.0, out=sims)
 
 
@@ -192,7 +144,7 @@ def query_topk_batch(
         return members, np.empty((bsz, 0), dtype=np.int64), sims_out, 0
     sims = bank.similarities(z2)
     idx = top_k_indices(sims, k_eff)
-    members[:, 1:, :] = bank._buf[bank._order_map()[idx]]
+    members[:, 1:, :] = bank._buf[idx]
     sims_out[:, 1:] = np.take_along_axis(sims, idx, axis=1)
     return members, idx, sims_out, k_eff
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .numerics import RngState, check_unit_rows
+from .numerics import RngState
 
 
 @dataclass
@@ -96,15 +96,15 @@ def mine_negatives(
 ) -> MinedNegativeSet:
     """Bernoulli-select negatives for a single query.
 
-    If every candidate is rejected, the one with the largest probability is
-    retained instead (first index on ties), so the result is nonempty
-    whenever ``candidates`` is.
+    ``candidates`` must be unit rows; ``psm mine`` checks the bank once
+    when it loads it. If every candidate is rejected, the one with the
+    largest probability is retained instead (first index on ties), so the
+    result is nonempty whenever ``candidates`` is.
     """
     q1 = np.asarray(q1, dtype=np.float64).reshape(-1)
     candidates = np.asarray(candidates, dtype=np.float64)
     if candidates.size == 0:
         return MinedNegativeSet(np.empty(0, dtype=np.int64), np.empty(0))
-    check_unit_rows(candidates, "candidates")
     sims = np.clip(candidates @ q1, -1.0, 1.0)
     off = np.array([0, len(sims)], dtype=np.int64)
     uniforms = rng.uniform(len(sims))

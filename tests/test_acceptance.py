@@ -390,11 +390,9 @@ def test_criterion_09_gradient_profile_shape(desk_run):
     train = gen_clusters(4, 512, 32, 6.0, seed=7, split="train")
     test = gen_clusters(4, 128, 32, 6.0, seed=7, split="test")
     bank_emb = forward_target(target, train.features)
-    bank = MemoryBank(len(bank_emb), bank_emb.shape[1], with_labels=True)
-    bank.enqueue_batch(bank_emb, train.labels)
     _, q, _ = forward_online(params, test.features, train=False)
     z2 = forward_target(target, test.features)
-    profile = gradient_profile(q, z2, bank, rank_depth=200)
+    profile = gradient_profile(q, z2, bank_emb, rank_depth=200)
     smoothed = np.convolve(profile.mean_norm, np.ones(10) / 10.0, mode="valid")
     increase = float(np.diff(smoothed).max())
     _report(

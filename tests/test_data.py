@@ -17,11 +17,7 @@ from psm.numerics import RngState
 class TestDataset:
     def test_properties(self):
         ds = Dataset(np.zeros((6, 3)), np.array([0, 0, 1, 1, 2, 2]))
-        assert (ds.n, ds.dim, ds.n_classes) == (6, 3, 3)
-
-    def test_empty_has_no_classes(self):
-        ds = Dataset(np.zeros((0, 3)), np.zeros(0, dtype=np.int64))
-        assert ds.n_classes == 0
+        assert (ds.n, ds.dim) == (6, 3)
 
     def test_features_must_be_2d(self):
         with pytest.raises(ValueError, match="2-d"):

@@ -11,7 +11,6 @@ from psm.diagnostics import (
     write_gradient_profile_csv,
     write_purity_csv,
 )
-from psm.memory_bank import MemoryBank
 from psm.numerics import RngState, l2_normalize_rows
 
 
@@ -68,17 +67,10 @@ class TestBceCoefficient:
             bce_gradient_coefficient(s, is_positive=False)
 
 
-def _bank_of(rows):
-    rows = np.asarray(rows, dtype=np.float64)
-    bank = MemoryBank(capacity=rows.shape[0], dim=rows.shape[1])
-    bank.enqueue_batch(rows)
-    return bank
-
-
 class TestGradientProfile:
     def test_hand_worked_single_query(self):
         root3 = np.sqrt(3.0) / 2.0
-        bank = _bank_of([[1.0, 0.0], [0.5, root3], [0.0, 1.0], [-1.0, 0.0]])
+        bank = np.array([[1.0, 0.0], [0.5, root3], [0.0, 1.0], [-1.0, 0.0]])
         q = np.array([[1.0, 0.0]])
         p = np.array([[0.6, 0.8]])
         profile = gradient_profile(q, p, bank, rank_depth=4)
@@ -90,14 +82,14 @@ class TestGradientProfile:
         assert profile.rank_depth == 4
 
     def test_mean_curve_never_increases(self):
-        bank = _bank_of(l2_normalize_rows(RngState(1).normal((80, 6))))
+        bank = l2_normalize_rows(RngState(1).normal((80, 6)))
         q = l2_normalize_rows(RngState(2).normal((9, 6)))
         p = l2_normalize_rows(RngState(3).normal((9, 6)))
         profile = gradient_profile(q, p, bank, rank_depth=50)
         assert np.all(np.diff(profile.mean_norm) <= 1e-12)
 
     def test_all_opposite_bank_normalizes_to_ones(self):
-        bank = _bank_of([[-1.0, 0.0]] * 3)
+        bank = np.array([[-1.0, 0.0]] * 3)
         q = np.array([[1.0, 0.0]])
         profile = gradient_profile(q, q, bank, rank_depth=3)
         np.testing.assert_array_equal(profile.mean_norm, np.ones(3))
@@ -106,11 +98,11 @@ class TestGradientProfile:
 
     def test_matches_full_sort_reference(self):
         rows = l2_normalize_rows(RngState(5).normal((60, 5)))
-        bank = _bank_of(np.concatenate([rows, rows[:20]]))
+        bank = np.concatenate([rows, rows[:20]])
         q = l2_normalize_rows(RngState(6).normal((7, 5)))
         p = l2_normalize_rows(RngState(7).normal((7, 5)))
         profile = gradient_profile(q, p, bank, rank_depth=45)
-        ranked = -np.sort(-(q @ bank.entries().T), axis=1)[:, :45]
+        ranked = -np.sort(-(q @ bank.T), axis=1)[:, :45]
         stats = (ranked + 1.0) / 2.0
         np.testing.assert_array_equal(
             profile.mean_norm, stats.mean(axis=0) / stats.mean(axis=0).max()
@@ -120,26 +112,31 @@ class TestGradientProfile:
         )
 
     def test_bank_must_cover_rank_depth(self):
-        bank = _bank_of([[1.0, 0.0], [0.0, 1.0]])
+        bank = np.array([[1.0, 0.0], [0.0, 1.0]])
         q = np.array([[1.0, 0.0]])
         with pytest.raises(ValueError, match="needs at least"):
             gradient_profile(q, q, bank, rank_depth=3)
 
     def test_rank_depth_must_be_positive(self):
-        bank = _bank_of([[1.0, 0.0]])
+        bank = np.array([[1.0, 0.0]])
         with pytest.raises(ValueError, match="rank_depth"):
             gradient_profile(np.eye(2)[:1], np.eye(2)[:1], bank, rank_depth=0)
 
     def test_shape_mismatch_rejected(self):
-        bank = _bank_of([[1.0, 0.0]])
+        bank = np.array([[1.0, 0.0]])
         with pytest.raises(ValueError, match="align"):
             gradient_profile(np.eye(2), np.eye(2)[:1], bank, rank_depth=1)
 
     def test_unit_rows_required(self):
-        bank = _bank_of([[1.0, 0.0]])
+        bank = np.array([[1.0, 0.0]])
         q = np.array([[2.0, 0.0]])
         with pytest.raises(ValueError):
             gradient_profile(q, q, bank, rank_depth=1)
+
+    def test_unit_bank_rows_required(self):
+        q = np.array([[1.0, 0.0]])
+        with pytest.raises(ValueError, match="bank must hold unit rows.*row 1"):
+            gradient_profile(q, q, np.array([[1.0, 0.0], [0.9, 0.0]]), rank_depth=1)
 
 
 class TestKnnProbe:

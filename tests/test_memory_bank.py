@@ -39,6 +39,7 @@ class TestFifo:
         expect = np.array(stream[-capacity:])
         np.testing.assert_array_equal(bank.entries(), expect)
         assert bank.labels().tolist() == stream_labels[-capacity:]
+        assert bank.labels_at(np.arange(len(bank))).tolist() == stream_labels[-capacity:]
         assert len(bank) == min(capacity, len(stream))
 
     def test_snapshot_semantics(self):
@@ -132,10 +133,12 @@ class TestQueryTopk:
         rng = RngState(12)
         entries = _unit_rows(rng, 20, 5)
         bank = MemoryBank(16, 5)
-        # duplicates of two rows, and a wrapped ring buffer
-        bank.enqueue_batch(entries[:12])
-        bank.enqueue_batch(np.concatenate([entries[12:], entries[[3, 9]]]))
-        assert bank._ptr != 0
+        # duplicates of two rows, and six evictions
+        stream = np.concatenate([entries, entries[[3, 9]]])
+        bank.enqueue_batch(stream[:12])
+        bank.enqueue_batch(stream[12:])
+        assert len(bank) == 16
+        np.testing.assert_array_equal(bank.entries(), stream[-16:])
         queries = np.concatenate([_unit_rows(rng, 4, 5), entries[[3, 9]]])
         members, idx, sims, k_eff = query_topk_batch(bank, queries, 4)
         assert k_eff == 4 and members.shape == (6, 5, 5)
@@ -150,10 +153,13 @@ class TestQueryTopk:
     def test_duplicate_rows_tie_to_smaller_enqueue_index(self, wrapped, k):
         far, mid, best = [0.0, 1.0], [0.6, 0.8], [1.0, 0.0]
         bank = MemoryBank(5, 2)
-        bank.enqueue_batch(np.array([far, mid, best, far, mid]))
+        stream = [far, mid, best, far, mid]
+        bank.enqueue_batch(np.array(stream))
         if wrapped:
             bank.enqueue_batch(np.array([mid]))  # evicts the oldest far row
-            assert bank._ptr != 0
+            stream.append(mid)
+        assert len(bank) == 5
+        np.testing.assert_array_equal(bank.entries(), np.array(stream[-5:]))
         q = np.array([[1.0, 0.0], [0.6, 0.8]])
         members, idx, sims, k_eff = query_topk_batch(bank, q, k)
         entries = bank.entries()
@@ -176,15 +182,17 @@ class TestQueryTopk:
         ns = query_topk(bank, np.array([-1.0, 0.0]), 1)
         assert bank.labels_at(ns.bank_indices).tolist() == [2]
 
-    @pytest.mark.parametrize("ptr", [1, 8, 15])
-    def test_similarities_after_wrap_match_gathered_product(self, ptr):
+    @pytest.mark.parametrize("evicted", [1, 8, 15])
+    def test_similarities_after_wrap_match_gathered_product(self, evicted):
         rng = RngState(11)
         bank = MemoryBank(16, 8)
-        bank.enqueue_batch(_unit_rows(rng, 16, 8))
-        bank.enqueue_batch(_unit_rows(rng, ptr, 8))
-        assert len(bank) == 16 and bank._ptr == ptr
+        stream = np.concatenate([_unit_rows(rng, 16, 8), _unit_rows(rng, evicted, 8)])
+        bank.enqueue_batch(stream[:16])
+        bank.enqueue_batch(stream[16:])
+        assert len(bank) == 16
+        np.testing.assert_array_equal(bank.entries(), stream[-16:])
         z = _unit_rows(rng, 5, 8)
-        want = np.clip((z @ bank._buf.T)[:, bank._order_map()], -1.0, 1.0)
+        want = np.clip(z @ bank.entries().T, -1.0, 1.0)
         got = bank.similarities(z)
         assert got.tobytes() == want.tobytes()
 

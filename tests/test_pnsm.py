@@ -90,16 +90,6 @@ class TestMineNegatives:
         np.testing.assert_array_equal(a.kept, b.kept)
         np.testing.assert_array_equal(a.probs, b.probs)
 
-    def test_non_unit_candidates_rejected(self):
-        with pytest.raises(ValueError):
-            mine_negatives(
-                np.array([1.0, 0.0]),
-                0.5,
-                np.full((2, 2), 0.9),
-                MiningConfig(),
-                RngState(0),
-            )
-
 
 class TestMiningConfig:
     def test_defaults(self):
