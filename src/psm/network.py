@@ -126,27 +126,39 @@ def iter_trainable(params: NetworkParams):
 
 
 def _head_forward(cfg, layers, x, head, train):
-    """Run one head; returns (output, per-layer cache or None)."""
+    """Run one head; returns (output, per-layer cache or None).
+
+    Training-mode batch norm takes the mean as ``add.reduce / n`` and the
+    variance from the same deviation it then scales into ``xhat``; that is
+    the operation order of ``ndarray.mean`` and ``ndarray.var``, so the
+    values match theirs bit for bit. The cached ``y`` is the layer's output
+    after the rectifier, whose sign pattern is the one backward needs.
+    """
     if not train:
         return _head_forward_eval(cfg, layers, x, head), None
     cache = []
     h = x
+    n = x.shape[0]
     last = len(layers) - 1
     for li, layer in enumerate(layers):
-        a = h @ layer.w.T + layer.b
+        y = h @ layer.w.T
+        y += layer.b
         if layer.gamma is not None:
-            mu = a.mean(axis=0)
-            var = a.var(axis=0)
+            mu = np.add.reduce(y, 0) / n
+            xhat = y
+            xhat -= mu
+            var = np.add.reduce(xhat * xhat, 0) / n
             std = np.sqrt(var + cfg.bn_eps)
-            xhat = (a - mu) / std
-            y = layer.gamma * xhat + layer.beta
+            xhat /= std
+            y = xhat * layer.gamma
+            y += layer.beta
         else:
             xhat = mu = var = std = None
-            y = a
-        out = np.maximum(y, 0.0) if li != last else y
-        _check_finite(out, head, li)
+        if li != last:
+            np.maximum(y, 0.0, out=y)
+        _check_finite(y, head, li)
         cache.append({"x": h, "xhat": xhat, "mu": mu, "var": var, "std": std, "y": y})
-        h = out
+        h = y
     return h, cache
 
 
@@ -179,30 +191,68 @@ def _check_finite(out, head, li):
         raise ValueError(f"non-finite activations in {head} layer {li}")
 
 
-def _head_backward(cfg, layers, cache, grad_out):
-    """Reverse one head; returns (grad wrt head input, {key: grad})."""
+def _head_backward(cfg, layers, cache, grad_out, input_grad=True):
+    """Reverse one head; returns (grad wrt head input or None, {key: grad}).
+
+    Reductions are ``add.reduce`` (``/ n`` for means), as inside ``sum`` and
+    ``mean``, and every temporary after the first is reused in place, in
+    the operation order of the out-of-place formulas. With
+    ``input_grad=False`` the first layer skips its input-gradient product.
+    """
     grads = {}
     g = grad_out
+    n = grad_out.shape[0]
     last = len(layers) - 1
     for li in range(last, -1, -1):
         layer, c = layers[li], cache[li]
         if li != last:
-            g = g * (c["y"] > 0.0)
+            g *= c["y"] > 0.0  # g is this function's own product here
         if layer.gamma is not None:
             xhat = c["xhat"]
-            grads[f"{li}.beta"] = g.sum(axis=0)
-            grads[f"{li}.gamma"] = (g * xhat).sum(axis=0)
-            gx = g * layer.gamma
-            # batch-stat backward for xhat = (a - mean(a)) / sqrt(var(a) + eps)
-            ga = (
-                gx - gx.mean(axis=0) - xhat * (gx * xhat).mean(axis=0)
-            ) / c["std"]
+            grads[f"{li}.beta"] = np.add.reduce(g, 0)
+            tmp = g * xhat
+            grads[f"{li}.gamma"] = np.add.reduce(tmp, 0)
+            # batch-stat backward for xhat = (a - mean(a)) / sqrt(var(a) + eps):
+            # ga = (gx - mean(gx) - xhat * mean(gx * xhat)) / std, gx = g * gamma
+            ga = g * layer.gamma
+            np.multiply(ga, xhat, out=tmp)
+            m_gx_xhat = np.add.reduce(tmp, 0) / n
+            ga -= np.add.reduce(ga, 0) / n
+            np.multiply(xhat, m_gx_xhat, out=tmp)
+            ga -= tmp
+            ga /= c["std"]
         else:
             ga = g
         grads[f"{li}.w"] = ga.T @ c["x"]
-        grads[f"{li}.b"] = ga.sum(axis=0)
-        g = ga @ layer.w
+        grads[f"{li}.b"] = np.add.reduce(ga, 0)
+        g = ga @ layer.w if li or input_grad else None
     return g, grads
+
+
+def forward_projection(params: NetworkParams, x: np.ndarray, train: bool = True):
+    """Online pass that stops at the projector: x -> encoder -> projector -> z1.
+
+    Returns (z1, cache) with z1 row-normalized; zero rows stay zero and are
+    flagged in cache["z1_zero"]. This is forward_online without the
+    predictor, for losses that read only z1: its cache holds no predictor
+    entries, so backward takes only grad_z1 with it and commit_bn_stats
+    folds the encoder and projector alone. With train=False batch norm uses
+    running statistics and the cache's head entries are None.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    cfg = params.config
+    h, enc_cache = _head_forward(cfg, params.encoder, x, "encoder", train)
+    u, proj_cache = _head_forward(cfg, params.projector, h, "projector", train)
+    z1, z1_zero = l2_normalize_rows(u, return_flags=True)
+    cache = {
+        "x": x,
+        "encoder": enc_cache,
+        "projector": proj_cache,
+        "u": u,
+        "z1": z1,
+        "z1_zero": z1_zero,
+    }
+    return z1, cache
 
 
 def forward_online(params: NetworkParams, x: np.ndarray, train: bool = True):
@@ -213,27 +263,14 @@ def forward_online(params: NetworkParams, x: np.ndarray, train: bool = True):
     cache["z1_zero"] / cache["q1_zero"]. With train=False no cache is built
     and batch norm uses running statistics.
     """
-    x = np.asarray(x, dtype=np.float64)
-    cfg = params.config
-    h, enc_cache = _head_forward(cfg, params.encoder, x, "encoder", train)
-    u, proj_cache = _head_forward(cfg, params.projector, h, "projector", train)
-    v, pred_cache = _head_forward(cfg, params.predictor, u, "predictor", train)
-    z1, z1_zero = l2_normalize_rows(u, return_flags=True)
+    z1, cache = forward_projection(params, x, train)
+    v, pred_cache = _head_forward(
+        params.config, params.predictor, cache["u"], "predictor", train
+    )
     q1, q1_zero = l2_normalize_rows(v, return_flags=True)
-    cache = None
-    if train:
-        cache = {
-            "x": x,
-            "encoder": enc_cache,
-            "projector": proj_cache,
-            "predictor": pred_cache,
-            "u": u,
-            "v": v,
-            "z1": z1,
-            "q1": q1,
-            "z1_zero": z1_zero,
-            "q1_zero": q1_zero,
-        }
+    if not train:
+        return z1, q1, None
+    cache.update(predictor=pred_cache, v=v, q1=q1, q1_zero=q1_zero)
     return z1, q1, cache
 
 
@@ -243,11 +280,7 @@ def forward_target(params: NetworkParams, x: np.ndarray) -> NDArray[np.float64]:
     The result is normalized and carries no cache; nothing computed here
     ever receives gradient.
     """
-    x = np.asarray(x, dtype=np.float64)
-    cfg = params.config
-    h, _ = _head_forward(cfg, params.encoder, x, "encoder", False)
-    u, _ = _head_forward(cfg, params.projector, h, "projector", False)
-    return l2_normalize_rows(u)
+    return forward_projection(params, x, train=False)[0]
 
 
 def embed(params: NetworkParams, x: np.ndarray) -> NDArray[np.float64]:
@@ -282,6 +315,8 @@ def backward(
     """
     if grad_q1 is None and grad_z1 is None:
         raise ValueError("nothing to backpropagate")
+    if grad_q1 is not None and "predictor" not in cache:
+        raise ValueError("grad_q1 needs a cache from forward_online")
     cfg = params.config
     grads: dict[str, NDArray[np.float64]] = {}
     if grad_q1 is not None:
@@ -312,7 +347,9 @@ def backward(
     gh, proj_grads = _head_backward(cfg, params.projector, cache["projector"], gu)
     for key, val in proj_grads.items():
         grads[f"projector.{key}"] = val
-    _, enc_grads = _head_backward(cfg, params.encoder, cache["encoder"], gh)
+    _, enc_grads = _head_backward(
+        cfg, params.encoder, cache["encoder"], gh, input_grad=False
+    )
     for key, val in enc_grads.items():
         grads[f"encoder.{key}"] = val
     return grads
@@ -323,13 +360,15 @@ def commit_bn_stats(params: NetworkParams, cache: dict) -> None:
 
     Running variance uses the unbiased batch variance, matching the usual
     train/eval convention. Called once per optimizer step by the trainer;
-    forward passes themselves never touch running state.
+    forward passes themselves never touch running state. Only the heads
+    the cache holds are folded: a forward_projection cache leaves the
+    predictor's running statistics as they are.
     """
     if not params.config.bn:
         return
     m = params.config.bn_momentum
     for head in HEADS:
-        for layer, c in zip(params.head(head), cache[head]):
+        for layer, c in zip(params.head(head), cache.get(head, ())):
             if layer.run_mean is None or c["mu"] is None:
                 continue
             bsz = c["x"].shape[0]

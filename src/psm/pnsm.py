@@ -78,9 +78,9 @@ def mine_mask(
     probs = np.exp(-a * delta * delta)
     keep = uniforms < probs
     # Fallback: a query whose candidates were all rejected keeps its
-    # single most probable candidate (first index on ties).
-    csum = np.concatenate([[0], np.cumsum(keep)])
-    kept_per_q = csum[off[1:]] - csum[off[:-1]]
+    # single most probable candidate (first index on ties). The kept
+    # cells before each offset count the kept candidates per query.
+    kept_per_q = np.diff(np.searchsorted(np.flatnonzero(keep), off))
     for i in np.nonzero((kept_per_q == 0) & (counts > 0))[0]:
         s, e = off[i], off[i + 1]
         keep[s + int(np.argmax(probs[s:e]))] = True

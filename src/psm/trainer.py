@@ -11,8 +11,9 @@ after querying, so a sample's own view never shows up among its mined
 neighbors; the view is already member 0 by construction.
 
 The baseline mode is a symmetric two-view InfoNCE over in-batch negatives
-with a single shared encoder+projector: no EMA, no bank, no predictor in
-the loss path. Negative mining plugs into it unchanged.
+with a single shared encoder+projector: no EMA, no bank, and the predictor
+is never run, so its running statistics keep their initial values.
+Negative mining plugs into it unchanged.
 
 Everything is deterministic in (config, dataset): rng substreams are keyed
 by purpose, epoch, and step, never shared across uses.
@@ -40,6 +41,7 @@ from .network import (
     embed,
     ema_update,
     forward_online,
+    forward_projection,
     forward_target,
     init_params,
     lr_at,
@@ -127,11 +129,15 @@ class TrainConfig:
             raise ValueError(f"unknown weight span {self.weight_span!r}")
         if self.probe_knn < 1:
             raise ValueError("probe_knn must be at least 1")
+        if self.probe_every < 0:
+            raise ValueError("probe_every must be nonnegative")
         if not self.baseline:
             if not self.use_soft and not self.use_hard:
                 raise ValueError("at least one of the soft/hard losses must be on")
             if self.k == 0 and not self.use_hard:
                 raise ValueError("k=0 with the hard loss disabled leaves no signal")
+            if not self.use_soft and self.lam == 0:
+                raise ValueError("lambda=0 with the soft loss disabled leaves no signal")
 
     def steps_per_epoch(self, n_rows: int) -> int:
         """Full batches per epoch over ``n_rows`` rows; at least one if training."""
@@ -300,9 +306,9 @@ def _evaluate_psm_step(
     root: RngState,
 ) -> tuple[_StepEval, NDArray[np.float64]]:
     """Pure loss evaluation for one step; returns the eval and the enqueue view."""
-    z2a = forward_target(target, x1)
-    z2b = forward_target(target, x2)
-    cands_hard = np.concatenate([z2a, z2b], axis=0)
+    # one stacked pass: running-stat batch norm treats every row alike
+    cands_hard = forward_target(target, np.concatenate([x1, x2], axis=0))
+    z2a, z2b = np.split(cands_hard, 2)
     rng_pnsm = root.split("pnsm", epoch, step)
     eval_ = _psm_pass(cfg, params, bank, x1, z2b, cands_hard, labels, rng_pnsm)
     if cfg.symmetrize:
@@ -325,8 +331,8 @@ def _evaluate_baseline_step(
     root: RngState,
 ) -> _StepEval:
     """Symmetric two-view InfoNCE over in-batch negatives, shared encoder."""
-    z1a, _, cache_a = forward_online(params, x1, train=True)
-    z1b, _, cache_b = forward_online(params, x2, train=True)
+    z1a, cache_a = forward_projection(params, x1)
+    z1b, cache_b = forward_projection(params, x2)
     bsz = z1a.shape[0]
     cands = np.concatenate([z1a, z1b], axis=0)
     owner = np.tile(np.arange(bsz), 2)

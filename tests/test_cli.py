@@ -175,12 +175,15 @@ class TestExitCodes:
             (_SMALL, {"peak_lr": -5.0}),
             (_SMALL, {"sgd_momentum": 5.0}),
             (_SMALL, {"weight_decay": -1.0}),
+            ([*_SMALL, "--no-soft", "--lambda", "0"], {}),
+            ([*_SMALL, "--probe-every", "-1"], {}),
         ],
         ids=[
             "k0_no_hard", "batch_exceeds_rows", "probe_knn_0", "a_nan", "t_nan",
             "lambda_nan", "sep_nan", "aug_sigma_nan", "peak_lr_nan", "epochs_float",
             "batch_size_str", "t_str", "encoder_int", "use_pnsm_str",
             "peak_lr_negative", "momentum_5", "weight_decay_negative",
+            "no_soft_lambda_0", "probe_every_negative",
         ],
     )
     def test_validation_failure_precedes_writes(self, tmp_path, extra, config):

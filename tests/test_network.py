@@ -4,6 +4,8 @@ import pytest
 from psm._binio import FormatError
 from psm.network import (
     NetworkConfig,
+    _head_backward,
+    _head_forward,
     OptimizerState,
     backward,
     commit_bn_stats,
@@ -11,6 +13,7 @@ from psm.network import (
     ema_update,
     embed,
     forward_online,
+    forward_projection,
     forward_target,
     init_params,
     iter_trainable,
@@ -164,6 +167,114 @@ class TestEvalForward:
             np.testing.assert_array_equal(after, before)
 
 
+def _out_of_place_train_head(cfg, layers, x):
+    """Training-mode head in its out-of-place form; y is cached before the rectifier."""
+    cache = []
+    h = x
+    last = len(layers) - 1
+    for li, layer in enumerate(layers):
+        a = h @ layer.w.T + layer.b
+        if layer.gamma is not None:
+            mu = a.mean(axis=0)
+            var = a.var(axis=0)
+            std = np.sqrt(var + cfg.bn_eps)
+            xhat = (a - mu) / std
+            y = layer.gamma * xhat + layer.beta
+        else:
+            xhat = mu = var = std = None
+            y = a
+        cache.append({"x": h, "xhat": xhat, "mu": mu, "var": var, "std": std, "y": y})
+        h = np.maximum(y, 0.0) if li != last else y
+    return h, cache
+
+
+def _out_of_place_head_backward(layers, cache, grad_out):
+    """Backward of _out_of_place_train_head with sum/mean and fresh temporaries."""
+    grads = {}
+    g = grad_out
+    last = len(layers) - 1
+    for li in range(last, -1, -1):
+        layer, c = layers[li], cache[li]
+        if li != last:
+            g = g * (c["y"] > 0.0)
+        if layer.gamma is not None:
+            xhat = c["xhat"]
+            grads[f"{li}.beta"] = g.sum(axis=0)
+            grads[f"{li}.gamma"] = (g * xhat).sum(axis=0)
+            gx = g * layer.gamma
+            ga = (gx - gx.mean(axis=0) - xhat * (gx * xhat).mean(axis=0)) / c["std"]
+        else:
+            ga = g
+        grads[f"{li}.w"] = ga.T @ c["x"]
+        grads[f"{li}.b"] = ga.sum(axis=0)
+        g = ga @ layer.w
+    return g, grads
+
+
+class TestTrainHead:
+    """The in-place training head equals its out-of-place form bit for bit."""
+
+    @pytest.mark.parametrize("bn", [True, False])
+    @pytest.mark.parametrize("seed", [31, 32])
+    def test_forward_and_backward_match_out_of_place(self, bn, seed):
+        params = _trained_looking_params(bn, seed=seed)
+        cfg = params.config
+        if bn:
+            assert not np.all(params.encoder[0].gamma == 1.0)
+            assert not np.all(params.projector[1].beta == 0.0)
+        rng = RngState(seed + 1)
+        h = rng.normal((9, 8))
+        for head in ("encoder", "projector", "predictor"):
+            layers = params.head(head)
+            x_before = h.copy()
+            out, cache = _head_forward(cfg, layers, h, head, True)
+            ref_out, ref_cache = _out_of_place_train_head(cfg, layers, h)
+            np.testing.assert_array_equal(h, x_before)
+            np.testing.assert_array_equal(out, ref_out)
+            for li, (c, r) in enumerate(zip(cache, ref_cache)):
+                for key in ("x", "xhat", "mu", "var", "std"):
+                    if r[key] is None:
+                        assert c[key] is None
+                    else:
+                        np.testing.assert_array_equal(c[key], r[key])
+                y_ref = r["y"] if li == len(layers) - 1 else np.maximum(r["y"], 0.0)
+                np.testing.assert_array_equal(c["y"], y_ref)
+
+            grad_out = rng.normal(out.shape)
+            g_before = grad_out.copy()
+            gin, grads = _head_backward(cfg, layers, cache, grad_out)
+            ref_gin, ref_grads = _out_of_place_head_backward(layers, ref_cache, grad_out)
+            np.testing.assert_array_equal(grad_out, g_before)
+            np.testing.assert_array_equal(gin, ref_gin)
+            assert grads.keys() == ref_grads.keys()
+            for key, val in ref_grads.items():
+                np.testing.assert_array_equal(grads[key], val, err_msg=f"{head}.{key}")
+
+            no_in, grads_only = _head_backward(cfg, layers, cache, grad_out, input_grad=False)
+            assert no_in is None
+            for key, val in ref_grads.items():
+                np.testing.assert_array_equal(grads_only[key], val)
+            h = out
+
+    def test_projection_pass_is_the_online_pass_without_predictor(self):
+        params = _trained_looking_params(True, seed=33)
+        x = RngState(34).normal((7, 8))
+        z1, cache = forward_projection(params, x)
+        z1_full, _, full = forward_online(params, x, train=True)
+        np.testing.assert_array_equal(z1, z1_full)
+        assert "predictor" not in cache and "q1" not in cache
+        for key in ("u", "z1", "z1_zero"):
+            np.testing.assert_array_equal(cache[key], full[key])
+        cz = RngState(35).normal(z1.shape)
+        grads = backward(params, cache, grad_z1=cz)
+        grads_full = backward(params, full, grad_z1=cz)
+        assert grads.keys() == grads_full.keys()
+        for key, val in grads_full.items():
+            np.testing.assert_array_equal(grads[key], val, err_msg=key)
+        with pytest.raises(ValueError, match="forward_online"):
+            backward(params, cache, grad_q1=cz)
+
+
 class TestBackward:
     @pytest.mark.parametrize("bn", [False, True])
     def test_param_gradients_match_fd(self, bn):
@@ -242,6 +353,17 @@ class TestBackward:
 
 
 class TestBnStats:
+    def test_projection_cache_leaves_predictor_stats(self):
+        params = _trained_looking_params(True, seed=36)
+        pred_before = [(l.run_mean.copy(), l.run_var.copy()) for l in params.predictor]
+        enc_before = params.encoder[0].run_mean.copy()
+        _, cache = forward_projection(params, RngState(37).normal((6, 8)))
+        commit_bn_stats(params, cache)
+        assert not np.array_equal(params.encoder[0].run_mean, enc_before)
+        for layer, (mean, var) in zip(params.predictor, pred_before):
+            np.testing.assert_array_equal(layer.run_mean, mean)
+            np.testing.assert_array_equal(layer.run_var, var)
+
     def test_commit_updates_running_estimates(self):
         params = _toy_params(seed=15)
         x = RngState(16).normal((8, 8))

@@ -143,3 +143,33 @@ class TestMineMask:
         off = np.array([0, 2], dtype=np.int64)
         with pytest.raises(ValueError):
             mine_mask(np.zeros(2), np.zeros(1), off, a, np.zeros(2))
+
+    def test_fallback_with_empty_segments(self):
+        # Seven queries: 0, 2, 5 and 6 own no candidates, 1 and 4 reject
+        # every candidate, 3 keeps one of two.
+        off = np.array([0, 0, 3, 3, 5, 8, 8, 8], dtype=np.int64)
+        sims = np.array([0.9, 0.2, 0.2, 0.5, -0.5, -0.7, 0.3, 0.6])
+        s_pos = np.array([0.0, 0.0, 0.0, 0.0, 0.5, 0.0, 0.0])
+        uniforms = np.array([1.0, 1.0, 1.0, 0.0, 1.0, 1.0, 1.0, 1.0])
+        probs, keep = mine_mask(sims, s_pos, off, 1.0, uniforms)
+        # query 1 ties at cells 1 and 2 and keeps the first; query 4 keeps
+        # its smallest gap, cell 7; query 3 keeps its drawn first cell alone
+        assert keep.tolist() == [False, True, False, True, False, False, False, True]
+        rows = np.repeat(np.arange(7), np.diff(off))
+        np.testing.assert_array_equal(probs, np.exp(-((sims - s_pos[rows]) ** 2)))
+
+    def test_fallback_matches_per_query_reference(self):
+        rng = RngState(31)
+        counts = np.array([0, 4, 0, 0, 7, 1, 3, 0, 5, 0, 0])
+        off = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+        sims = 2 * rng.uniform(int(off[-1])) - 1
+        s_pos = 2 * rng.uniform(len(counts)) - 1
+        uniforms = rng.uniform(int(off[-1]))
+        probs, keep = mine_mask(sims, s_pos, off, 6.0, uniforms)
+        for i in range(len(counts)):
+            s, e = off[i], off[i + 1]
+            want = uniforms[s:e] < probs[s:e]
+            if e > s and not want.any():
+                want[np.argmax(probs[s:e])] = True
+            np.testing.assert_array_equal(keep[s:e], want)
+        assert keep.sum() > np.count_nonzero(uniforms < probs)  # a fallback fired

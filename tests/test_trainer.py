@@ -5,7 +5,13 @@ import pytest
 
 from psm.data import gen_clusters
 from psm.memory_bank import MemoryBank
-from psm.network import NetworkConfig, copy_params, init_params, iter_trainable
+from psm.network import (
+    NetworkConfig,
+    copy_params,
+    forward_online,
+    init_params,
+    iter_trainable,
+)
 from psm.numerics import RngState, l2_normalize_rows
 from psm.trainer import (
     METRICS_HEADER,
@@ -60,7 +66,9 @@ class TestValidate:
             dict(weight_span="everything"),
             dict(use_soft=False, use_hard=False),
             dict(k=0, use_hard=False),
+            dict(use_soft=False, lam=0.0),
             dict(probe_knn=0),
+            dict(probe_every=-1),
             # wrong types and non-finite numbers
             dict(a=float("nan")),
             dict(a=float("inf")),
@@ -94,6 +102,10 @@ class TestValidate:
 
     def test_baseline_ignores_loss_switches(self):
         _mini_cfg(baseline=True, use_soft=False, use_hard=False).validate()
+        _mini_cfg(baseline=True, use_soft=False, lam=0.0).validate()
+
+    def test_probe_only_at_the_end_is_valid(self):
+        _mini_cfg(probe_every=0).validate()
 
     def test_default_is_valid(self):
         TrainConfig().validate()
@@ -393,6 +405,52 @@ class TestBaseline:
             mined.metrics[0]["neg_retained_mean"]
             < plain.metrics[0]["neg_retained_mean"]
         )
+
+
+class TestBaselineForward:
+    """The baseline runs the online pass only up to the projector."""
+
+    def _step(self):
+        net_cfg = NetworkConfig(
+            in_dim=8, encoder=(16, 8), projector=(8, 6), predictor=(6, 6)
+        )
+        params = init_params(net_cfg, RngState(3))
+        x = gen_clusters(4, 4, 8, 6.0, seed=6).features
+        cfg = _mini_cfg(baseline=True, a=2.0)
+        ev = _evaluate_baseline_step(cfg, params, x + 0.05, x - 0.05, 1, 0, RngState(9))
+        return ev, _accumulate_grads(params, ev, baseline=True)
+
+    def test_step_equals_the_full_online_pass(self, monkeypatch):
+        from psm import trainer
+
+        short_ev, short_grads = self._step()
+
+        def full_pass(params, x):
+            z1, _, cache = forward_online(params, x, train=True)
+            return z1, cache
+
+        monkeypatch.setattr(trainer, "forward_projection", full_pass)
+        full_ev, full_grads = self._step()
+        assert short_ev.loss == full_ev.loss
+        assert short_ev.retained_mean == full_ev.retained_mean
+        assert short_grads.keys() == full_grads.keys()
+        for key, val in full_grads.items():
+            np.testing.assert_array_equal(short_grads[key], val, err_msg=key)
+        for (cache, _), (full_cache, _) in zip(
+            short_ev.grads_per_pass, full_ev.grads_per_pass
+        ):
+            assert "predictor" not in cache and "predictor" in full_cache
+
+    def test_predictor_running_stats_stay_initial(self, mini_data):
+        train, _ = mini_data
+        art = pretrain(_baseline_cfg(epochs=1), train)
+        for layer in art.params.predictor:
+            np.testing.assert_array_equal(layer.run_mean, 0.0)
+            np.testing.assert_array_equal(layer.run_var, 1.0)
+        assert not np.array_equal(art.params.encoder[0].run_mean, 0.0)
+        # weight decay still reaches the predictor through its zero gradient
+        init = init_params(art.params.config, RngState(0).split("net"))
+        assert not np.array_equal(art.params.predictor[0].w, init.predictor[0].w)
 
 
 class TestProbeCadence:
