@@ -299,16 +299,14 @@ def cmd_mine(args) -> int:
             print(f"query={i} indices={idx} sims={sims}")
         return 0
     entries = bank.entries()
+    others = np.empty((len(entries) - 1, bank.dim))  # every bank row but the anchor
     for i, q in enumerate(queries):
         sims = entries @ q
         anchor = int(np.argmax(sims))
-        mined = mine_negatives(
-            q,
-            float(sims[anchor]),
-            np.delete(entries, anchor, axis=0),
-            mining,
-            rng.split("mine", i),
-        )
+        others[:anchor] = entries[:anchor]
+        others[anchor:] = entries[anchor + 1 :]
+        s_pos = float(sims[anchor])
+        mined = mine_negatives(q, s_pos, others, mining, rng.split("mine", i))
         # candidate m is bank row m below the anchor and row m + 1 above it
         kept = _bracketed(mined.kept + (mined.kept >= anchor))
         probs = _bracketed(mined.probs[mined.kept])

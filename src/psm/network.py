@@ -13,6 +13,12 @@ statistics change only when the trainer commits them via commit_bn_stats.
 The predictor consumes the projector's raw output; the normalized z1/q1
 returned by forward_online are what the losses and the bank consume, and
 backward chains gradients through those normalizations using cached norms.
+
+A training pass also takes a (V, B, in) stack of views and then equals V
+(B, in) passes bit for bit: each view keeps its own batch statistics, and
+backward and commit_bn_stats take the views in view order. Each layer runs
+one batched product, a GEMM per view, because one (V*B, in) product of the
+stacked rows can round differently in the last bit.
 """
 
 from __future__ import annotations
@@ -126,28 +132,28 @@ def iter_trainable(params: NetworkParams):
 
 
 def _head_forward(cfg, layers, x, head, train):
-    """Run one head; returns (output, per-layer cache or None).
+    """Run one head on (B, in) or (V, B, in); returns (output, cache or None).
 
-    Training-mode batch norm takes the mean as ``add.reduce / n`` and the
-    variance from the same deviation it then scales into ``xhat``; that is
-    the operation order of ``ndarray.mean`` and ``ndarray.var``, so the
-    values match theirs bit for bit. The cached ``y`` is the layer's output
-    after the rectifier, whose sign pattern is the one backward needs.
+    Training-mode batch norm takes each view's mean as ``add.reduce / n``
+    and the variance from the same deviation it then scales into ``xhat``,
+    in the operation order of ``mean`` and ``var`` (keepdims), so the values
+    match theirs bit for bit. The cached ``y`` is the layer's output after
+    the rectifier, whose sign pattern is the one backward needs.
     """
     if not train:
         return _head_forward_eval(cfg, layers, x, head), None
     cache = []
     h = x
-    n = x.shape[0]
+    n = x.shape[-2]
     last = len(layers) - 1
     for li, layer in enumerate(layers):
         y = h @ layer.w.T
         y += layer.b
         if layer.gamma is not None:
-            mu = np.add.reduce(y, 0) / n
+            mu = np.add.reduce(y, -2, keepdims=True) / n
             xhat = y
             xhat -= mu
-            var = np.add.reduce(xhat * xhat, 0) / n
+            var = np.add.reduce(xhat * xhat, -2, keepdims=True) / n
             std = np.sqrt(var + cfg.bn_eps)
             xhat /= std
             y = xhat * layer.gamma
@@ -196,12 +202,13 @@ def _head_backward(cfg, layers, cache, grad_out, input_grad=True):
 
     Reductions are ``add.reduce`` (``/ n`` for means), as inside ``sum`` and
     ``mean``, and every temporary after the first is reused in place, in
-    the operation order of the out-of-place formulas. With
-    ``input_grad=False`` the first layer skips its input-gradient product.
+    the operation order of the out-of-place formulas. ``input_grad=False``
+    skips the first layer's input-gradient product. Each parameter gradient
+    of a (V, B, .) pass is a (V, ...) stack of its views' gradients.
     """
     grads = {}
     g = grad_out
-    n = grad_out.shape[0]
+    n = grad_out.shape[-2]
     last = len(layers) - 1
     for li in range(last, -1, -1):
         layer, c = layers[li], cache[li]
@@ -209,22 +216,22 @@ def _head_backward(cfg, layers, cache, grad_out, input_grad=True):
             g *= c["y"] > 0.0  # g is this function's own product here
         if layer.gamma is not None:
             xhat = c["xhat"]
-            grads[f"{li}.beta"] = np.add.reduce(g, 0)
+            grads[f"{li}.beta"] = np.add.reduce(g, -2)
             tmp = g * xhat
-            grads[f"{li}.gamma"] = np.add.reduce(tmp, 0)
+            grads[f"{li}.gamma"] = np.add.reduce(tmp, -2)
             # batch-stat backward for xhat = (a - mean(a)) / sqrt(var(a) + eps):
             # ga = (gx - mean(gx) - xhat * mean(gx * xhat)) / std, gx = g * gamma
             ga = g * layer.gamma
             np.multiply(ga, xhat, out=tmp)
-            m_gx_xhat = np.add.reduce(tmp, 0) / n
-            ga -= np.add.reduce(ga, 0) / n
+            m_gx_xhat = np.add.reduce(tmp, -2, keepdims=True) / n
+            ga -= np.add.reduce(ga, -2, keepdims=True) / n
             np.multiply(xhat, m_gx_xhat, out=tmp)
             ga -= tmp
             ga /= c["std"]
         else:
             ga = g
-        grads[f"{li}.w"] = ga.T @ c["x"]
-        grads[f"{li}.b"] = np.add.reduce(ga, 0)
+        grads[f"{li}.w"] = ga.swapaxes(-1, -2) @ c["x"]
+        grads[f"{li}.b"] = np.add.reduce(ga, -2)
         g = ga @ layer.w if li or input_grad else None
     return g, grads
 
@@ -237,13 +244,14 @@ def forward_projection(params: NetworkParams, x: np.ndarray, train: bool = True)
     predictor, for losses that read only z1: its cache holds no predictor
     entries, so backward takes only grad_z1 with it and commit_bn_stats
     folds the encoder and projector alone. With train=False batch norm uses
-    running statistics and the cache's head entries are None.
+    running statistics and the cache's head entries are None. A (V, B, in)
+    stack of views gives (V, B, d) z1 and a cache with the same view axis.
     """
     x = np.asarray(x, dtype=np.float64)
     cfg = params.config
     h, enc_cache = _head_forward(cfg, params.encoder, x, "encoder", train)
     u, proj_cache = _head_forward(cfg, params.projector, h, "projector", train)
-    z1, z1_zero = l2_normalize_rows(u, return_flags=True)
+    z1, z1_zero = _normalize(u)
     cache = {
         "x": x,
         "encoder": enc_cache,
@@ -267,7 +275,7 @@ def forward_online(params: NetworkParams, x: np.ndarray, train: bool = True):
     v, pred_cache = _head_forward(
         params.config, params.predictor, cache["u"], "predictor", train
     )
-    q1, q1_zero = l2_normalize_rows(v, return_flags=True)
+    q1, q1_zero = _normalize(v)
     if not train:
         return z1, q1, None
     cache.update(predictor=pred_cache, v=v, q1=q1, q1_zero=q1_zero)
@@ -290,12 +298,18 @@ def embed(params: NetworkParams, x: np.ndarray) -> NDArray[np.float64]:
     return l2_normalize_rows(h)
 
 
+def _normalize(a):
+    """l2_normalize_rows, with flags, of every row of a (..., d) array."""
+    unit, zero = l2_normalize_rows(a.reshape(-1, a.shape[-1]), return_flags=True)
+    return unit.reshape(a.shape), zero.reshape(a.shape[:-1])
+
+
 def _norm_backward(grad_unit, raw, unit, zero_mask):
     """Chain a gradient w.r.t. a unit row back to the raw row."""
-    norms = np.sqrt(np.einsum("ij,ij->i", raw, raw))
+    norms = np.sqrt(np.einsum("...j,...j->...", raw, raw))
     norms = np.where(zero_mask, 1.0, norms)
-    radial = np.einsum("ij,ij->i", unit, grad_unit)
-    out = (grad_unit - radial[:, None] * unit) / norms[:, None]
+    radial = np.einsum("...j,...j->...", unit, grad_unit)
+    out = (grad_unit - radial[..., None] * unit) / norms[..., None]
     out[zero_mask] = 0.0
     return out
 
@@ -310,8 +324,8 @@ def backward(
 
     grad_q1 is with respect to the normalized q1 rows that forward_online
     returned; grad_z1 (used by the baseline mode, which has no predictor in
-    the loss path) is with respect to normalized z1. Target parameters
-    receive nothing.
+    the loss path) is with respect to normalized z1, each shaped like that
+    output. Target parameters receive nothing.
     """
     if grad_q1 is None and grad_z1 is None:
         raise ValueError("nothing to backpropagate")
@@ -331,12 +345,6 @@ def backward(
             grads[f"predictor.{key}"] = val
     else:
         gu = np.zeros_like(cache["u"])
-        for li, layer in enumerate(params.predictor):
-            grads[f"predictor.{li}.w"] = np.zeros_like(layer.w)
-            grads[f"predictor.{li}.b"] = np.zeros_like(layer.b)
-            if layer.gamma is not None:
-                grads[f"predictor.{li}.gamma"] = np.zeros_like(layer.gamma)
-                grads[f"predictor.{li}.beta"] = np.zeros_like(layer.beta)
     if grad_z1 is not None:
         gu = gu + _norm_backward(
             np.asarray(grad_z1, dtype=np.float64),
@@ -352,6 +360,10 @@ def backward(
     )
     for key, val in enc_grads.items():
         grads[f"encoder.{key}"] = val
+    if cache["x"].ndim == 3:  # sum each parameter's per-view gradients in view order
+        grads = {key: np.add.reduce(val, 0) for key, val in grads.items()}
+    for key, tensor in iter_trainable(params):  # the predictor's, without grad_q1
+        grads.setdefault(key, np.zeros_like(tensor))
     return grads
 
 
@@ -362,7 +374,7 @@ def commit_bn_stats(params: NetworkParams, cache: dict) -> None:
     train/eval convention. Called once per optimizer step by the trainer;
     forward passes themselves never touch running state. Only the heads
     the cache holds are folded: a forward_projection cache leaves the
-    predictor's running statistics as they are.
+    predictor's running statistics as they are. Views fold in view order.
     """
     if not params.config.bn:
         return
@@ -371,12 +383,14 @@ def commit_bn_stats(params: NetworkParams, cache: dict) -> None:
         for layer, c in zip(params.head(head), cache.get(head, ())):
             if layer.run_mean is None or c["mu"] is None:
                 continue
-            bsz = c["x"].shape[0]
+            bsz = c["x"].shape[-2]
             var = c["var"] * (bsz / (bsz - 1)) if bsz > 1 else c["var"]
-            layer.run_mean *= 1.0 - m
-            layer.run_mean += m * c["mu"]
-            layer.run_var *= 1.0 - m
-            layer.run_var += m * var
+            width = var.shape[-1]
+            for mu_v, var_v in zip(c["mu"].reshape(-1, width), var.reshape(-1, width)):
+                layer.run_mean *= 1.0 - m
+                layer.run_mean += m * mu_v
+                layer.run_var *= 1.0 - m
+                layer.run_var += m * var_v
 
 
 @dataclass

@@ -15,6 +15,11 @@ with a single shared encoder+projector: no EMA, no bank, and the predictor
 is never run, so its running statistics keep their initial values.
 Negative mining plugs into it unchanged.
 
+A step stacks its views (2, B, in) and runs one online pass on both (the
+baseline, --symmetrize) or on the first, then one backward and one batch-norm
+commit. Loss direction v queries view v against the other view; a step
+averages its directions.
+
 Everything is deterministic in (config, dataset): rng substreams are keyed
 by purpose, epoch, and step, never shared across uses.
 """
@@ -168,10 +173,26 @@ class _StepEval:
     loss: float
     soft_value: float
     hard_value: float
-    grads_per_pass: list[tuple[dict, NDArray[np.float64]]]
-    purity_top1: float | None
-    purity_topk: float | None
+    grad: dict[str, NDArray[np.float64]]  # backward's keyword: one direction, or stacked
     retained_mean: float
+    purity_top1: float | None = None
+    purity_topk: float | None = None
+    cache: dict | None = None
+
+
+def _mean_over_directions(dirs: list[_StepEval], cache: dict) -> _StepEval:
+    """Average the directions, gradients included; purity is direction 0's."""
+    n = len(dirs)
+    return _StepEval(
+        loss=sum(d.loss for d in dirs) / n,
+        soft_value=sum(d.soft_value for d in dirs) / n,
+        hard_value=sum(d.hard_value for d in dirs) / n,
+        grad={key: np.stack([d.grad[key] for d in dirs]) / n for key in dirs[0].grad},
+        retained_mean=sum(d.retained_mean for d in dirs) / n,
+        purity_top1=dirs[0].purity_top1,
+        purity_topk=dirs[0].purity_topk,
+        cache=cache,
+    )
 
 
 def _offsets(neg: np.ndarray) -> np.ndarray:
@@ -228,32 +249,18 @@ def _masked_nce(
     return weighted_nce_csr(q, pos, w, pos_off, cands, idx, _offsets(neg), t)
 
 
-def _mean_of_passes(a: _StepEval, b: _StepEval) -> _StepEval:
-    """Average two directional passes; each backpropagates half its gradient."""
-    return _StepEval(
-        loss=0.5 * (a.loss + b.loss),
-        soft_value=0.5 * (a.soft_value + b.soft_value),
-        hard_value=0.5 * (a.hard_value + b.hard_value),
-        grads_per_pass=[(c, 0.5 * g) for c, g in a.grads_per_pass + b.grads_per_pass],
-        purity_top1=a.purity_top1,
-        purity_topk=a.purity_topk,
-        retained_mean=0.5 * (a.retained_mean + b.retained_mean),
-    )
-
-
 def _psm_pass(
     cfg: TrainConfig,
-    params: NetworkParams,
     bank: MemoryBank,
-    x_query: np.ndarray,
+    z1: np.ndarray,
+    q1: np.ndarray,
     pos_view: np.ndarray,
     cands_hard: np.ndarray,
     labels: np.ndarray,
     rng_pnsm: RngState,
 ) -> _StepEval:
-    """One directional pass: query view against target positives."""
-    bsz = x_query.shape[0]
-    z1, q1, cache = forward_online(params, x_query, train=True)
+    """One direction: a view's online z1/q1 rows against target positives."""
+    bsz = q1.shape[0]
     members, nb_idx, _, k_eff = query_topk_batch(bank, pos_view, cfg.k)
     p_count = k_eff + 1
     dim = members.shape[2]
@@ -286,10 +293,10 @@ def _psm_pass(
         loss=soft_value + cfg.lam * hard_value,
         soft_value=soft_value,
         hard_value=hard_value,
-        grads_per_pass=[(cache, soft_grad + cfg.lam * hard_grad)],
+        grad={"grad_q1": soft_grad + cfg.lam * hard_grad},
+        retained_mean=retained,
         purity_top1=purity_top1,
         purity_topk=purity_topk,
-        retained_mean=retained,
     )
 
 
@@ -298,74 +305,55 @@ def _evaluate_psm_step(
     params: NetworkParams,
     target: NetworkParams,
     bank: MemoryBank,
-    x1: np.ndarray,
-    x2: np.ndarray,
+    views: np.ndarray,
     labels: np.ndarray,
     epoch: int,
     step: int,
     root: RngState,
 ) -> tuple[_StepEval, NDArray[np.float64]]:
-    """Pure loss evaluation for one step; returns the eval and the enqueue view."""
-    # one stacked pass: running-stat batch norm treats every row alike
-    cands_hard = forward_target(target, np.concatenate([x1, x2], axis=0))
-    z2a, z2b = np.split(cands_hard, 2)
+    """Pure loss evaluation for one step; returns the eval and the enqueue view.
+
+    Direction v queries view v against the other view's target projection.
+    """
+    bsz = views.shape[1]
+    # one pass over the 2B stacked rows (two B-row passes can round differently)
+    cands_hard = forward_target(target, views.reshape(2 * bsz, -1))
+    z2 = cands_hard.reshape(2, bsz, -1)
+    n_dirs = 2 if cfg.symmetrize else 1
+    z1, q1, cache = forward_online(params, views[:n_dirs])
     rng_pnsm = root.split("pnsm", epoch, step)
-    eval_ = _psm_pass(cfg, params, bank, x1, z2b, cands_hard, labels, rng_pnsm)
-    if cfg.symmetrize:
-        eval_ = _mean_of_passes(
-            eval_,
-            _psm_pass(
-                cfg, params, bank, x2, z2a, cands_hard, labels, rng_pnsm.split("pass", 1)
-            ),
+    dirs = [
+        _psm_pass(
+            cfg, bank, z1[v], q1[v], z2[1 - v], cands_hard, labels,
+            rng_pnsm.split("pass", v) if v else rng_pnsm,
         )
-    return eval_, z2b
+        for v in range(n_dirs)
+    ]
+    return _mean_over_directions(dirs, cache), z2[1]
 
 
 def _evaluate_baseline_step(
     cfg: TrainConfig,
     params: NetworkParams,
-    x1: np.ndarray,
-    x2: np.ndarray,
+    views: np.ndarray,
     epoch: int,
     step: int,
     root: RngState,
 ) -> _StepEval:
     """Symmetric two-view InfoNCE over in-batch negatives, shared encoder."""
-    z1a, cache_a = forward_projection(params, x1)
-    z1b, cache_b = forward_projection(params, x2)
-    bsz = z1a.shape[0]
-    cands = np.concatenate([z1a, z1b], axis=0)
+    z1, cache = forward_projection(params, views)
+    bsz = z1.shape[1]
+    cands = z1.reshape(2 * bsz, -1)
     owner = np.tile(np.arange(bsz), 2)
     rng_pnsm = root.split("pnsm", epoch, step)
-    passes = []
-    for pass_no, (q, pos, cache) in enumerate(((z1a, z1b, cache_a), (z1b, z1a, cache_b))):
-        neg = _pool_mask(cfg, q, pos, cands, owner, rng_pnsm.split("pass", pass_no))
+    dirs, nan = [], float("nan")
+    for v in range(2):
+        q, pos = z1[v], z1[1 - v]
+        neg = _pool_mask(cfg, q, pos, cands, owner, rng_pnsm.split("pass", v))
         out = _masked_nce(q, pos, np.ones(bsz), cands, neg, cfg.t)
-        passes.append(
-            _StepEval(
-                loss=out.value,
-                soft_value=float("nan"),
-                hard_value=float("nan"),
-                grads_per_pass=[(cache, out.grad_q)],
-                purity_top1=None,
-                purity_topk=None,
-                retained_mean=0.0 + float(out.neg_counts.mean()),
-            )
-        )
-    return _mean_of_passes(*passes)
-
-
-def _accumulate_grads(params, eval_: _StepEval, baseline: bool):
-    grads: dict[str, np.ndarray] | None = None
-    for cache, g in eval_.grads_per_pass:
-        kw = {"grad_z1": g} if baseline else {"grad_q1": g}
-        part = backward(params, cache, **kw)
-        if grads is None:
-            grads = part
-        else:
-            for key in grads:
-                grads[key] += part[key]
-    return grads
+        retained = float(out.neg_counts.mean())
+        dirs.append(_StepEval(out.value, nan, nan, {"grad_z1": out.grad_q}, retained))
+    return _mean_over_directions(dirs, cache)
 
 
 def _probe(params: NetworkParams, train_ds: Dataset, test_ds: Dataset, k_nn: int) -> float:
@@ -427,19 +415,18 @@ def pretrain(
         for step in range(steps_per_epoch):
             sel = perm[step * cfg.batch_size : (step + 1) * cfg.batch_size]
             x, y = feats[sel], labels[sel]
-            x1, x2 = two_views(x, cfg.augment, root.split("aug", epoch, step))
+            views = np.stack(two_views(x, cfg.augment, root.split("aug", epoch, step)))
             if baseline:
-                ev = _evaluate_baseline_step(cfg, params, x1, x2, epoch, step, root)
+                ev = _evaluate_baseline_step(cfg, params, views, epoch, step, root)
                 enqueue_view = None
             else:
                 ev, enqueue_view = _evaluate_psm_step(
-                    cfg, params, target, bank, x1, x2, y, epoch, step, root
+                    cfg, params, target, bank, views, y, epoch, step, root
                 )
             if not np.isfinite(ev.loss):
                 raise ValueError(f"non-finite loss at epoch {epoch} step {step}")
-            grads = _accumulate_grads(params, ev, baseline)
-            for cache, _ in ev.grads_per_pass:
-                commit_bn_stats(params, cache)
+            grads = backward(params, ev.cache, **ev.grad)
+            commit_bn_stats(params, ev.cache)
             lr = lr_at(opt, (epoch - 1) + step / steps_per_epoch)
             sgd_step(params, grads, opt, lr)
             if not baseline:

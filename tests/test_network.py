@@ -3,6 +3,7 @@ import pytest
 
 from psm._binio import FormatError
 from psm.network import (
+    HEADS,
     NetworkConfig,
     _head_backward,
     _head_forward,
@@ -175,8 +176,8 @@ def _out_of_place_train_head(cfg, layers, x):
     for li, layer in enumerate(layers):
         a = h @ layer.w.T + layer.b
         if layer.gamma is not None:
-            mu = a.mean(axis=0)
-            var = a.var(axis=0)
+            mu = a.mean(axis=0, keepdims=True)
+            var = a.var(axis=0, keepdims=True)
             std = np.sqrt(var + cfg.bn_eps)
             xhat = (a - mu) / std
             y = layer.gamma * xhat + layer.beta
@@ -352,6 +353,58 @@ class TestBackward:
             )
 
 
+class TestViewStack:
+    """A (V, B, in) training pass equals V separate (B, in) passes bit for bit."""
+
+    @pytest.mark.parametrize("bn", [True, False])
+    @pytest.mark.parametrize("n_views", [2, 3])
+    def test_stack_equals_separate_passes(self, bn, n_views):
+        cfg = NetworkConfig(
+            in_dim=11, encoder=(37, 13), projector=(19, 7), predictor=(23, 7), bn=bn
+        )
+        params = init_params(cfg, RngState(41))
+        rng = RngState(42)
+        perturb = rng.split("perturb")
+        for _, arr in iter_trainable(params):
+            arr += 0.3 * perturb.normal(arr.shape)
+        sep = copy_params(params)
+        x = rng.split("x").normal((n_views, 13, 11))
+        grad_q = rng.split("q").normal((n_views, 13, 7))
+        grad_z = rng.split("z").normal((n_views, 13, 7))
+
+        z1, q1, cache = forward_online(params, x)
+        grads = backward(params, cache, grad_q1=grad_q, grad_z1=grad_z)
+        commit_bn_stats(params, cache)
+        ref_grads = None
+        for v in range(n_views):
+            z1_v, q1_v, cache_v = forward_online(sep, x[v])
+            np.testing.assert_array_equal(z1[v], z1_v)
+            np.testing.assert_array_equal(q1[v], q1_v)
+            for head in HEADS:
+                for li, (c, c_v) in enumerate(zip(cache[head], cache_v[head])):
+                    for key in ("mu", "var"):
+                        if c_v[key] is None:
+                            assert c[key] is None
+                        else:
+                            np.testing.assert_array_equal(
+                                c[key][v], c_v[key], err_msg=f"{head}.{li}.{key}"
+                            )
+            part = backward(sep, cache_v, grad_q1=grad_q[v], grad_z1=grad_z[v])
+            if ref_grads is None:
+                ref_grads = part
+            else:
+                for key in ref_grads:
+                    ref_grads[key] += part[key]
+            commit_bn_stats(sep, cache_v)
+        assert grads.keys() == ref_grads.keys()
+        for key, val in ref_grads.items():
+            np.testing.assert_array_equal(grads[key], val, err_msg=key)
+        for head in HEADS:
+            for layer, ref in zip(params.head(head), sep.head(head)):
+                np.testing.assert_array_equal(layer.run_mean, ref.run_mean)
+                np.testing.assert_array_equal(layer.run_var, ref.run_var)
+
+
 class TestBnStats:
     def test_projection_cache_leaves_predictor_stats(self):
         params = _trained_looking_params(True, seed=36)
@@ -369,8 +422,8 @@ class TestBnStats:
         x = RngState(16).normal((8, 8))
         _, _, cache = forward_online(params, x, train=True)
         layer = params.encoder[0]
-        mu = cache["encoder"][0]["mu"]
-        var = cache["encoder"][0]["var"] * (8 / 7)
+        mu = cache["encoder"][0]["mu"][0]
+        var = cache["encoder"][0]["var"][0] * (8 / 7)
         commit_bn_stats(params, cache)
         np.testing.assert_allclose(layer.run_mean, 0.1 * mu, atol=1e-12)
         np.testing.assert_allclose(layer.run_var, 0.9 + 0.1 * var, atol=1e-12)

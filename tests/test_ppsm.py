@@ -5,7 +5,7 @@ import pytest
 from conftest import hard_pool, soft_pool
 
 from psm.memory_bank import MemoryBank
-from psm.network import NetworkConfig, init_params
+from psm.network import NetworkConfig, forward_online, init_params
 from psm.numerics import RngState, l2_normalize_rows
 from psm.ppsm import (
     STRATEGIES,
@@ -278,7 +278,7 @@ class TestSoftLoss:
 
 
 def _one_pass(cfg):
-    """trainer._psm_pass on a small network, a warm bank and one step's views."""
+    """trainer._psm_pass on a small network's online rows and a warm bank."""
     rng = RngState(9)
     params = init_params(
         NetworkConfig(in_dim=6, encoder=(8, 6), projector=(6, 5), predictor=(6, 5)),
@@ -289,8 +289,9 @@ def _one_pass(cfg):
     x = rng.split("x").normal((4, 6))
     z2a, z2b = (l2_normalize_rows(rng.split("z", i).normal((4, 5))) for i in (1, 2))
     cands_hard = np.concatenate([z2a, z2b])
+    z1, q1, _ = forward_online(params, x)
     return _psm_pass(
-        cfg, params, bank, x, z2b, cands_hard, np.arange(4) % 3, rng.split("pnsm")
+        cfg, bank, z1, q1, z2b, cands_hard, np.arange(4) % 3, rng.split("pnsm")
     )
 
 
@@ -306,9 +307,7 @@ class TestPsmLoss:
         assert soft.hard_value == 0.0 and hard.soft_value == 0.0
         assert soft.loss == soft.soft_value and hard.loss == 2.5 * hard.hard_value
         assert total.loss == pytest.approx(soft.soft_value + 2.5 * hard.hard_value, abs=1e-12)
-        (_, g_total), (_, g_soft), (_, g_hard) = (
-            e.grads_per_pass[0] for e in (total, soft, hard)
-        )
+        g_total, g_soft, g_hard = (e.grad["grad_q1"] for e in (total, soft, hard))
         np.testing.assert_allclose(g_total, g_soft + g_hard, atol=1e-12)
 
 

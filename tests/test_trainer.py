@@ -6,9 +6,14 @@ import pytest
 from psm.data import gen_clusters
 from psm.memory_bank import MemoryBank
 from psm.network import (
+    HEADS,
     NetworkConfig,
+    backward,
+    commit_bn_stats,
     copy_params,
     forward_online,
+    forward_projection,
+    forward_target,
     init_params,
     iter_trainable,
 )
@@ -16,9 +21,11 @@ from psm.numerics import RngState, l2_normalize_rows
 from psm.trainer import (
     METRICS_HEADER,
     TrainConfig,
-    _accumulate_grads,
     _evaluate_baseline_step,
     _evaluate_psm_step,
+    _masked_nce,
+    _pool_mask,
+    _psm_pass,
     pretrain,
     run_ablation_suite,
     write_metrics_csv,
@@ -175,16 +182,16 @@ class TestSwapInvariance:
         x2 = x - 0.05
         labels = np.arange(16, dtype=np.int64) % 4
         ev_a, _ = _evaluate_psm_step(
-            cfg, params, target, bank, x1, x2, labels, 1, 0, RngState(9)
+            cfg, params, target, bank, np.stack([x1, x2]), labels, 1, 0, RngState(9)
         )
         ev_b, _ = _evaluate_psm_step(
-            cfg, params, target, bank, x2, x1, labels, 1, 0, RngState(9)
+            cfg, params, target, bank, np.stack([x2, x1]), labels, 1, 0, RngState(9)
         )
         assert ev_a.loss == pytest.approx(ev_b.loss, abs=1e-9)
         assert ev_a.soft_value == pytest.approx(ev_b.soft_value, abs=1e-9)
         assert ev_a.hard_value == pytest.approx(ev_b.hard_value, abs=1e-9)
-        ga = _accumulate_grads(params, ev_a, baseline=False)
-        gb = _accumulate_grads(params, ev_b, baseline=False)
+        ga = backward(params, ev_a.cache, **ev_a.grad)
+        gb = backward(params, ev_b.cache, **ev_b.grad)
         for key in ga:
             np.testing.assert_allclose(ga[key], gb[key], rtol=1e-7, atol=1e-10)
 
@@ -204,8 +211,8 @@ def _tiny_psm_step(symmetrize, use_pnsm):
     cfg = _mini_cfg(symmetrize=symmetrize, use_pnsm=use_pnsm, k=3)
     labels = np.arange(16, dtype=np.int64) % 4
     _evaluate_psm_step(
-        cfg, params, copy_params(params), bank, x + 0.05, x - 0.05, labels, 1, 0,
-        RngState(9),
+        cfg, params, copy_params(params), bank, np.stack([x + 0.05, x - 0.05]), labels,
+        1, 0, RngState(9),
     )
 
 
@@ -332,7 +339,8 @@ class TestPoolLayout:
         params = init_params(net_cfg, RngState(3))
         x = gen_clusters(4, 4, 8, 6.0, seed=6).features
         cfg = _mini_cfg(baseline=True, use_pnsm=mining)
-        _evaluate_baseline_step(cfg, params, x + 0.05, x - 0.05, 1, 0, RngState(9))
+        views = np.stack([x + 0.05, x - 0.05])
+        _evaluate_baseline_step(cfg, params, views, 1, 0, RngState(9))
         self._check(calls, mining, n_pools=2)
 
 
@@ -417,8 +425,9 @@ class TestBaselineForward:
         params = init_params(net_cfg, RngState(3))
         x = gen_clusters(4, 4, 8, 6.0, seed=6).features
         cfg = _mini_cfg(baseline=True, a=2.0)
-        ev = _evaluate_baseline_step(cfg, params, x + 0.05, x - 0.05, 1, 0, RngState(9))
-        return ev, _accumulate_grads(params, ev, baseline=True)
+        views = np.stack([x + 0.05, x - 0.05])
+        ev = _evaluate_baseline_step(cfg, params, views, 1, 0, RngState(9))
+        return ev, backward(params, ev.cache, **ev.grad)
 
     def test_step_equals_the_full_online_pass(self, monkeypatch):
         from psm import trainer
@@ -436,10 +445,7 @@ class TestBaselineForward:
         assert short_grads.keys() == full_grads.keys()
         for key, val in full_grads.items():
             np.testing.assert_array_equal(short_grads[key], val, err_msg=key)
-        for (cache, _), (full_cache, _) in zip(
-            short_ev.grads_per_pass, full_ev.grads_per_pass
-        ):
-            assert "predictor" not in cache and "predictor" in full_cache
+        assert "predictor" not in short_ev.cache and "predictor" in full_ev.cache
 
     def test_predictor_running_stats_stay_initial(self, mini_data):
         train, _ = mini_data
@@ -451,6 +457,108 @@ class TestBaselineForward:
         # weight decay still reaches the predictor through its zero gradient
         init = init_params(art.params.config, RngState(0).split("net"))
         assert not np.array_equal(art.params.predictor[0].w, init.predictor[0].w)
+
+
+class TestOnePassPerStep:
+    """A step's one stacked online pass equals one pass per view, bit for bit.
+
+    The reference runs each view through its own single-view forward call
+    and its own backward, then sums the gradients in view order.
+    """
+
+    def _setup(self):
+        net_cfg = NetworkConfig(
+            in_dim=9, encoder=(17, 11), projector=(13, 7), predictor=(15, 7)
+        )
+        params = init_params(net_cfg, RngState(3))
+        perturb = RngState(10)
+        for _, arr in iter_trainable(params):
+            arr += 0.2 * perturb.normal(arr.shape)
+        x = RngState(6).normal((13, 9))
+        return params, x + 0.05, x - 0.05
+
+    @staticmethod
+    def _assert_same_update(params, ev, ref_params, ref_caches, ref_grads):
+        grads = backward(params, ev.cache, **ev.grad)
+        summed = ref_grads[0]
+        for part in ref_grads[1:]:
+            for key in summed:
+                summed[key] += part[key]
+        assert grads.keys() == summed.keys()
+        for key, val in summed.items():
+            np.testing.assert_array_equal(grads[key], val, err_msg=key)
+        commit_bn_stats(params, ev.cache)
+        for cache in ref_caches:
+            commit_bn_stats(ref_params, cache)
+        for head in HEADS:
+            for layer, ref in zip(params.head(head), ref_params.head(head)):
+                np.testing.assert_array_equal(layer.run_mean, ref.run_mean)
+                np.testing.assert_array_equal(layer.run_var, ref.run_var)
+
+    def test_baseline_step(self):
+        params, x1, x2 = self._setup()
+        ref_params = copy_params(params)
+        cfg = _mini_cfg(baseline=True, a=2.0)
+        ev = _evaluate_baseline_step(cfg, params, np.stack([x1, x2]), 1, 0, RngState(9))
+
+        za, cache_a = forward_projection(ref_params, x1)
+        zb, cache_b = forward_projection(ref_params, x2)
+        cands = np.concatenate([za, zb])
+        owner = np.tile(np.arange(13), 2)
+        rng_pnsm = RngState(9).split("pnsm", 1, 0)
+        losses, retained, grads = [], [], []
+        for v, (q, pos, cache) in enumerate(((za, zb, cache_a), (zb, za, cache_b))):
+            neg = _pool_mask(cfg, q, pos, cands, owner, rng_pnsm.split("pass", v))
+            out = _masked_nce(q, pos, np.ones(13), cands, neg, cfg.t)
+            losses.append(out.value)
+            retained.append(float(out.neg_counts.mean()))
+            grads.append(backward(ref_params, cache, grad_z1=0.5 * out.grad_q))
+        assert ev.loss == 0.5 * (losses[0] + losses[1])
+        assert ev.retained_mean == 0.5 * (retained[0] + retained[1])
+        self._assert_same_update(params, ev, ref_params, (cache_a, cache_b), grads)
+
+    @pytest.mark.parametrize("symmetrize", [False, True])
+    def test_psm_step(self, symmetrize):
+        params, x1, x2 = self._setup()
+        ref_params = copy_params(params)
+        target = copy_params(params)
+        bank = MemoryBank(64, 7, with_labels=True)
+        bank.enqueue_batch(
+            l2_normalize_rows(RngState(4).normal((40, 7))),
+            RngState(5).integers(0, 4, size=40),
+        )
+        labels = np.arange(13, dtype=np.int64) % 4
+        cfg = _mini_cfg(symmetrize=symmetrize, k=3, a=2.0)
+        ev, enqueue_view = _evaluate_psm_step(
+            cfg, params, target, bank, np.stack([x1, x2]), labels, 1, 0, RngState(9)
+        )
+
+        cands_hard = forward_target(target, np.concatenate([x1, x2]))
+        z2a, z2b = np.split(cands_hard, 2)
+        rng_pnsm = RngState(9).split("pnsm", 1, 0)
+        za, qa, cache_a = forward_online(ref_params, x1)
+        dirs = [_psm_pass(cfg, bank, za, qa, z2b, cands_hard, labels, rng_pnsm)]
+        caches = [cache_a]
+        if symmetrize:
+            zb, qb, cache_b = forward_online(ref_params, x2)
+            rng_b = rng_pnsm.split("pass", 1)
+            dirs.append(_psm_pass(cfg, bank, zb, qb, z2a, cands_hard, labels, rng_b))
+            caches.append(cache_b)
+
+        def mean(values):
+            return 0.5 * (values[0] + values[1]) if symmetrize else values[0]
+
+        scale = 0.5 if symmetrize else 1.0
+        grads = [
+            backward(ref_params, cache, grad_q1=scale * d.grad["grad_q1"])
+            for d, cache in zip(dirs, caches)
+        ]
+        for name in ("loss", "soft_value", "hard_value"):
+            assert getattr(ev, name) == mean([getattr(d, name) for d in dirs])
+        assert ev.retained_mean == mean([d.retained_mean for d in dirs])
+        assert (ev.purity_top1, ev.purity_topk) == (dirs[0].purity_top1, dirs[0].purity_topk)
+        np.testing.assert_array_equal(enqueue_view, z2b)
+        self._assert_same_update(params, ev, ref_params, caches, grads)
 
 
 class TestProbeCadence:
