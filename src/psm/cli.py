@@ -79,15 +79,15 @@ def _parse_synthetic(spec: str) -> dict:
     return out
 
 
-def _load_data(args) -> tuple[Dataset, Dataset]:
+def _load_data(args, seed: int) -> tuple[Dataset, Dataset]:
     if getattr(args, "synthetic", None):
         spec = _parse_synthetic(args.synthetic)
-        train = gen_clusters(seed=args.seed, split="train", **spec)
+        train = gen_clusters(seed=seed, split="train", **spec)
         spec_test = dict(spec, n_per_class=max(1, spec["n_per_class"] // 4))
-        test = gen_clusters(seed=args.seed, split="test", **spec_test)
+        test = gen_clusters(seed=seed, split="test", **spec_test)
         return train, test
     full = load_csv(args.data)
-    return split_dataset(full, 0.2, args.seed)
+    return split_dataset(full, 0.2, seed)
 
 
 def _config_from_args(args) -> TrainConfig:
@@ -156,7 +156,7 @@ def _echo_config(cfg: TrainConfig, args) -> dict:
 
 def cmd_pretrain(args) -> int:
     cfg = _config_from_args(args)
-    train_ds, test_ds = _load_data(args)
+    train_ds, test_ds = _load_data(args, cfg.seed)
     cfg.steps_per_epoch(train_ds.n)  # a batch that does not fit fails before any write
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -201,7 +201,7 @@ def _load_checkpoint(path, ds: Dataset):
 def cmd_probe(args) -> int:
     if not Path(args.checkpoint).is_file():
         raise FileNotFoundError(f"checkpoint not found: {args.checkpoint}")
-    train_ds, test_ds = _load_data(args)
+    train_ds, test_ds = _load_data(args, args.seed)
     params, _ = _load_checkpoint(args.checkpoint, train_ds)
     train_emb = network.embed(params, train_ds.features)
     test_emb = network.embed(params, test_ds.features)
@@ -233,7 +233,7 @@ def cmd_diagnose(args) -> int:
             raise ValueError(f"--{name} must be at least {low}, got {value}")
     if not Path(args.checkpoint).is_file():
         raise FileNotFoundError(f"checkpoint not found: {args.checkpoint}")
-    train_ds, test_ds = _load_data(args)
+    train_ds, test_ds = _load_data(args, args.seed)
     params, target = _load_checkpoint(args.checkpoint, train_ds)
     out = Path(args.out)
 
@@ -335,7 +335,7 @@ def cmd_ablate(args) -> int:
             cfg = dataclasses.replace(base, lam=float(raw))
         cfg.validate()
         cells.append((f"{args.axis}={raw}", cfg))
-    train_ds, test_ds = _load_data(args)
+    train_ds, test_ds = _load_data(args, args.seed)
     base.steps_per_epoch(train_ds.n)  # every cell shares the batch size
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -371,7 +371,7 @@ def build_parser() -> _Parser:
     _add_data_args(p)
     p.add_argument("--config", help="JSON config file with TrainConfig keys")
     p.add_argument("--out", required=True, help="run directory")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, help="defaults to the config file's, else 0")
     p.add_argument("--k", type=int)
     p.add_argument("--a", type=float)
     p.add_argument("--lambda", dest="lam", type=float)

@@ -25,7 +25,6 @@ class DataFormatError(ValueError):
 class Dataset:
     features: NDArray[np.float64]
     labels: NDArray[np.int64]
-    split: str = "train"
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
@@ -92,21 +91,19 @@ def gen_clusters(
         noise = root.split("samples", split, c).normal((n_per_class, dim))
         feats[c * n_per_class : (c + 1) * n_per_class] = means[c] + noise
         labels[c * n_per_class : (c + 1) * n_per_class] = c
-    return Dataset(features=feats, labels=labels, split=split)
+    return Dataset(features=feats, labels=labels)
 
 
 def two_views(
     x: np.ndarray, policy: AugmentPolicy, rng: RngState
 ) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    """Two independent stochastic views of a row or batch of rows.
+    """Two independent stochastic views of a (B, d) batch of rows.
 
     Each view applies scale jitter, then feature dropout, then additive
     Gaussian noise, drawn from per-view substreams of ``rng``. The identity
     policy (sigma 0, dropout 0, scale [1, 1]) returns the input exactly.
     """
-    x = np.asarray(x, dtype=np.float64)
-    squeeze = x.ndim == 1
-    batch = np.atleast_2d(x)
+    batch = np.asarray(x, dtype=np.float64)
 
     def one_view(sub: RngState) -> np.ndarray:
         scale = policy.scale_lo + sub.uniform((batch.shape[0], 1)) * (
@@ -116,11 +113,7 @@ def two_views(
         noise = sub.normal(batch.shape)
         return batch * scale * keep + policy.sigma * noise
 
-    x1 = one_view(rng.split("view", 1))
-    x2 = one_view(rng.split("view", 2))
-    if squeeze:
-        return x1[0], x2[0]
-    return x1, x2
+    return one_view(rng.split("view", 1)), one_view(rng.split("view", 2))
 
 
 def save_csv(dataset: Dataset, path: str | Path) -> None:
@@ -133,7 +126,7 @@ def save_csv(dataset: Dataset, path: str | Path) -> None:
             fh.write(f"{int(label)},{vals}\n")
 
 
-def load_csv(path: str | Path, split: str = "train") -> Dataset:
+def load_csv(path: str | Path) -> Dataset:
     path = Path(path)
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
@@ -171,7 +164,7 @@ def load_csv(path: str | Path, split: str = "train") -> Dataset:
     if (labels < 0).any():
         ln = line_nos[int(np.argmax(labels < 0))]
         raise DataFormatError(f"{path}: line {ln}: negative label")
-    return Dataset(features=features, labels=labels, split=split)
+    return Dataset(features=features, labels=labels)
 
 
 def split_dataset(
@@ -185,6 +178,6 @@ def split_dataset(
     test_idx = perm[:n_test]
     train_idx = perm[n_test:]
     return (
-        Dataset(dataset.features[train_idx], dataset.labels[train_idx], "train"),
-        Dataset(dataset.features[test_idx], dataset.labels[test_idx], "test"),
+        Dataset(dataset.features[train_idx], dataset.labels[train_idx]),
+        Dataset(dataset.features[test_idx], dataset.labels[test_idx]),
     )

@@ -42,20 +42,17 @@ def purity(mined_labels: np.ndarray, query_labels: np.ndarray) -> tuple[float, f
     return top1, float(np.mean(mined == query_labels[:, None]))
 
 
-def bce_gradient_coefficient(s, is_positive: bool):
-    """Gradient coefficient of the pairwise BCE objective at similarity s.
+def bce_gradient_coefficient(s):
+    """Pairwise-BCE gradient coefficient of a negative at similarity s.
 
-    On [0, 1]-mapped similarities the positive branch contributes s - 1 and
-    the negative branch s, so satisfied positives (s near 1) and
-    dissimilar negatives (s near 0) are both uninformative.
+    On [0, 1]-mapped similarities a negative contributes s (a positive
+    would contribute s - 1), so dissimilar negatives (s near 0) are
+    uninformative.
     """
     s = np.asarray(s, dtype=np.float64)
     if np.any(s < 0.0) or np.any(s > 1.0):
         raise ValueError("similarity must lie in [0, 1] for this analysis")
-    out = s - 1.0 if is_positive else s + 0.0
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return s
 
 
 @dataclass
@@ -108,7 +105,7 @@ def gradient_profile(
     ranked = -np.sort(np.partition(-sims, rank_depth - 1, axis=1)[:, :rank_depth], axis=1)
     # statistic per (query, rank): |coefficient| * ||d s / d q|| with the
     # derivative of a dot product against a unit bank row having norm 1
-    stats = bce_gradient_coefficient((ranked + 1.0) / 2.0, is_positive=False)
+    stats = bce_gradient_coefficient((ranked + 1.0) / 2.0)
     mean_curve = stats.mean(axis=0)
     var_curve = stats.var(axis=0)
     s_pos = np.einsum("ij,ij->i", queries, positives)

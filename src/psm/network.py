@@ -80,55 +80,61 @@ class NetworkParams:
         return getattr(self, name)
 
 
-def init_params(cfg: NetworkConfig, rng: RngState) -> NetworkParams:
-    """He-normal weights, zero biases, identity batch-norm."""
-    heads: dict[str, list[Layer]] = {}
-    for hi, head in enumerate(HEADS):
+# A layer's tensors in checkpoint order: w, b, gamma, beta train; the
+# running statistics do not. A layer without batch norm holds only w and b.
+LAYER_FIELDS = ("w", "b", "gamma", "beta", "run_mean", "run_var")
+
+
+def _fields(cfg: NetworkConfig, trainable: bool = False) -> tuple[str, ...]:
+    """The fields every layer of ``cfg`` holds, in checkpoint order."""
+    if not cfg.bn:
+        return LAYER_FIELDS[:2]
+    return LAYER_FIELDS[:4] if trainable else LAYER_FIELDS
+
+
+def _layer_shapes(cfg: NetworkConfig):
+    """Yield (head, layer index, {field: shape}) for every layer, in order."""
+    names = _fields(cfg)
+    for head in HEADS:
         sizes = cfg.head_sizes(head)
-        layers = []
-        for li in range(len(sizes) - 1):
-            fan_in, fan_out = sizes[li], sizes[li + 1]
-            sub = rng.split("init", hi, li)
-            w = sub.normal((fan_out, fan_in)) * math.sqrt(2.0 / fan_in)
-            layer = Layer(w=w, b=np.zeros(fan_out))
-            if cfg.bn:
-                layer.gamma = np.ones(fan_out)
-                layer.beta = np.zeros(fan_out)
-                layer.run_mean = np.zeros(fan_out)
-                layer.run_var = np.ones(fan_out)
-            layers.append(layer)
-        heads[head] = layers
+        for li, (fan_in, width) in enumerate(zip(sizes, sizes[1:])):
+            yield head, li, {n: (width, fan_in) if n == "w" else (width,) for n in names}
+
+
+def _build(cfg: NetworkConfig, make) -> NetworkParams:
+    """A network whose every tensor is ``make(head, layer index, field, shape)``."""
+    heads: dict[str, list[Layer]] = {head: [] for head in HEADS}
+    for head, li, shapes in _layer_shapes(cfg):
+        layer = {name: make(head, li, name, shape) for name, shape in shapes.items()}
+        heads[head].append(Layer(**layer))
     return NetworkParams(config=cfg, **heads)
 
 
-def copy_params(params: NetworkParams) -> NetworkParams:
-    def cp(layer: Layer) -> Layer:
-        return Layer(
-            w=layer.w.copy(),
-            b=layer.b.copy(),
-            gamma=None if layer.gamma is None else layer.gamma.copy(),
-            beta=None if layer.beta is None else layer.beta.copy(),
-            run_mean=None if layer.run_mean is None else layer.run_mean.copy(),
-            run_var=None if layer.run_var is None else layer.run_var.copy(),
-        )
+def init_params(cfg: NetworkConfig, rng: RngState) -> NetworkParams:
+    """He-normal weights, zero biases, identity batch-norm."""
 
-    return NetworkParams(
-        config=params.config,
-        encoder=[cp(l) for l in params.encoder],
-        projector=[cp(l) for l in params.projector],
-        predictor=[cp(l) for l in params.predictor],
+    def init(head, li, name, shape):
+        if name == "w":
+            sub = rng.split("init", HEADS.index(head), li)
+            return sub.normal(shape) * math.sqrt(2.0 / shape[1])
+        return np.ones(shape) if name in ("gamma", "run_var") else np.zeros(shape)
+
+    return _build(cfg, init)
+
+
+def copy_params(params: NetworkParams) -> NetworkParams:
+    return _build(
+        params.config, lambda head, li, name, _: getattr(params.head(head)[li], name).copy()
     )
 
 
 def iter_trainable(params: NetworkParams):
     """Yield (key, array) for every trainable tensor, declaration order."""
+    names = _fields(params.config, trainable=True)
     for head in HEADS:
         for li, layer in enumerate(params.head(head)):
-            yield f"{head}.{li}.w", layer.w
-            yield f"{head}.{li}.b", layer.b
-            if layer.gamma is not None:
-                yield f"{head}.{li}.gamma", layer.gamma
-                yield f"{head}.{li}.beta", layer.beta
+            for name in names:
+                yield f"{head}.{li}.{name}", getattr(layer, name)
 
 
 def _head_forward(cfg, layers, x, head, train):
@@ -331,8 +337,15 @@ def backward(
         raise ValueError("nothing to backpropagate")
     if grad_q1 is not None and "predictor" not in cache:
         raise ValueError("grad_q1 needs a cache from forward_online")
-    cfg = params.config
     grads: dict[str, NDArray[np.float64]] = {}
+
+    def head_backward(head, grad_out, input_grad=True):
+        g, head_grads = _head_backward(
+            params.config, params.head(head), cache[head], grad_out, input_grad
+        )
+        grads.update((f"{head}.{key}", val) for key, val in head_grads.items())
+        return g
+
     if grad_q1 is not None:
         gv = _norm_backward(
             np.asarray(grad_q1, dtype=np.float64),
@@ -340,9 +353,7 @@ def backward(
             cache["q1"],
             cache["q1_zero"],
         )
-        gu, pred_grads = _head_backward(cfg, params.predictor, cache["predictor"], gv)
-        for key, val in pred_grads.items():
-            grads[f"predictor.{key}"] = val
+        gu = head_backward("predictor", gv)
     else:
         gu = np.zeros_like(cache["u"])
     if grad_z1 is not None:
@@ -352,14 +363,7 @@ def backward(
             cache["z1"],
             cache["z1_zero"],
         )
-    gh, proj_grads = _head_backward(cfg, params.projector, cache["projector"], gu)
-    for key, val in proj_grads.items():
-        grads[f"projector.{key}"] = val
-    _, enc_grads = _head_backward(
-        cfg, params.encoder, cache["encoder"], gh, input_grad=False
-    )
-    for key, val in enc_grads.items():
-        grads[f"encoder.{key}"] = val
+    head_backward("encoder", head_backward("projector", gu), input_grad=False)
     if cache["x"].ndim == 3:  # sum each parameter's per-view gradients in view order
         grads = {key: np.add.reduce(val, 0) for key, val in grads.items()}
     for key, tensor in iter_trainable(params):  # the predictor's, without grad_q1
@@ -457,34 +461,16 @@ def ema_update(
     """target <- m*target + (1-m)*online for every tensor, stats included."""
     if not 0.0 <= m <= 1.0:
         raise ValueError(f"momentum must be in [0, 1], got {m}")
+    if target.config != online.config:
+        raise ValueError("target/online architecture mismatch")
+    names, rest = _fields(target.config), 1.0 - m
     for head in HEADS:
-        t_layers, o_layers = target.head(head), online.head(head)
-        if len(t_layers) != len(o_layers):
-            raise ValueError("target/online architecture mismatch")
-        for tl, ol in zip(t_layers, o_layers):
-            for name in ("w", "b", "gamma", "beta", "run_mean", "run_var"):
-                tv, ov = getattr(tl, name), getattr(ol, name)
-                if (tv is None) != (ov is None):
-                    raise ValueError("target/online batch-norm mismatch")
-                if tv is None:
-                    continue
-                if tv.shape != ov.shape:
-                    raise ValueError(f"shape mismatch in {head}.{name}")
+        for tl, ol in zip(target.head(head), online.head(head)):
+            for name in names:
+                tv = getattr(tl, name)
                 tv *= m
-                tv += (1.0 - m) * ov
+                tv += rest * getattr(ol, name)
     return target
-
-
-def _iter_all_tensors(params: NetworkParams):
-    for head in HEADS:
-        for layer in params.head(head):
-            yield layer.w
-            yield layer.b
-            if layer.gamma is not None:
-                yield layer.gamma
-                yield layer.beta
-                yield layer.run_mean
-                yield layer.run_var
 
 
 def save_checkpoint(
@@ -493,42 +479,40 @@ def save_checkpoint(
     target: NetworkParams,
     path: str | Path,
 ) -> None:
-    """Write architecture, online params, optimizer state, target params."""
+    """Write the header, optimizer scalars, online tensors, buffers, target.
+
+    Tensors go layer by layer in LAYER_FIELDS order; the momentum buffers
+    follow the trainable tensors' order, a missing buffer written as zeros.
+    """
     cfg = params.config
     with open(path, "wb") as fh:
         _binio.write_magic(fh, _CKPT_MAGIC, _CKPT_VERSION)
         _binio.write_u64(fh, cfg.in_dim)
         _binio.write_u8(fh, 1 if cfg.bn else 0)
         _binio.write_f64_array(fh, np.array([cfg.bn_eps, cfg.bn_momentum]))
-        for head in ("encoder", "projector", "predictor"):
+        for head in HEADS:
             widths = getattr(cfg, head)
             _binio.write_u64(fh, len(widths))
             for w in widths:
                 _binio.write_u64(fh, w)
-        _binio.write_f64_array(
-            fh,
-            np.array(
-                [
-                    opt.momentum,
-                    opt.weight_decay,
-                    opt.base_lr,
-                    opt.peak_lr,
-                    opt.floor_lr,
-                ]
-            ),
-        )
-        _binio.write_u64(fh, opt.warmup_epochs)
-        _binio.write_u64(fh, opt.total_epochs)
-        _binio.write_u64(fh, opt.step_count)
-        for tensor in _iter_all_tensors(params):
-            _binio.write_f64_array(fh, tensor)
+        rates = [opt.momentum, opt.weight_decay, opt.base_lr, opt.peak_lr, opt.floor_lr]
+        _binio.write_f64_array(fh, np.array(rates))
+        for count in (opt.warmup_epochs, opt.total_epochs, opt.step_count):
+            _binio.write_u64(fh, count)
+        _write_tensors(fh, params)
         for key, tensor in iter_trainable(params):
             buf = opt.buffers.get(key)
             _binio.write_f64_array(
                 fh, buf if buf is not None else np.zeros_like(tensor)
             )
-        for tensor in _iter_all_tensors(target):
-            _binio.write_f64_array(fh, tensor)
+        _write_tensors(fh, target)
+
+
+def _write_tensors(fh, params: NetworkParams) -> None:
+    for head, li, shapes in _layer_shapes(params.config):
+        layer = params.head(head)[li]
+        for name in shapes:
+            _binio.write_f64_array(fh, getattr(layer, name))
 
 
 def _check_checkpoint_size(cfg: NetworkConfig, left: int) -> None:
@@ -540,17 +524,17 @@ def _check_checkpoint_size(cfg: NetworkConfig, left: int) -> None:
     widths = (cfg.in_dim, *cfg.encoder, *cfg.projector, *cfg.predictor)
     if not (cfg.encoder and cfg.projector and cfg.predictor) or min(widths) < 1:
         raise _binio.FormatError("checkpoint heads need positive widths")
-    n_all = n_trainable = 0
-    for head in HEADS:
-        sizes = cfg.head_sizes(head)
-        for fan_in, width in zip(sizes, sizes[1:]):
-            n_trainable += width * fan_in + width + (2 * width if cfg.bn else 0)
-            n_all += width * fan_in + width + (4 * width if cfg.bn else 0)
-    # optimizer scalars (5 f64, 3 u64), online and target tensors, buffers
-    want = 8 * (8 + 2 * n_all + n_trainable)
-    if want != left:
+    trainable = _fields(cfg, trainable=True)
+    # optimizer scalars (5 f64, 3 u64); every tensor online and in the
+    # target, and a momentum buffer for each trainable one
+    values = 8 + sum(
+        math.prod(shape) * (3 if name in trainable else 2)
+        for _, _, shapes in _layer_shapes(cfg)
+        for name, shape in shapes.items()
+    )
+    if 8 * values != left:
         raise _binio.FormatError(
-            f"checkpoint widths imply {want} bytes after the header, file holds {left}"
+            f"checkpoint widths imply {8 * values} bytes after the header, file holds {left}"
         )
 
 
@@ -565,19 +549,17 @@ def load_checkpoint(
         bn = bool(_binio.read_u8(fh))
         bn_eps, bn_momentum = _binio.read_f64_array(fh, (2,))
         widths = {}
-        for head in ("encoder", "projector", "predictor"):
+        for head in HEADS:
             n = _binio.read_u64(fh)
             if 8 * n > _binio.bytes_left(fh):
                 raise _binio.FormatError(f"truncated file: {head} claims {n} layers")
             widths[head] = tuple(_binio.read_u64(fh) for _ in range(n))
         cfg = NetworkConfig(
             in_dim=in_dim,
-            encoder=widths["encoder"],
-            projector=widths["projector"],
-            predictor=widths["predictor"],
             bn=bn,
             bn_eps=float(bn_eps),
             bn_momentum=float(bn_momentum),
+            **widths,
         )
         _check_checkpoint_size(cfg, _binio.bytes_left(fh))
         mom, wd, base, peak, floor = _binio.read_f64_array(fh, (5,))
@@ -592,14 +574,11 @@ def load_checkpoint(
             step_count=_binio.read_u64(fh),
         )
 
-        def read_into(p: NetworkParams):
-            for tensor in _iter_all_tensors(p):
-                tensor[...] = _binio.read_f64_array(fh, tensor.shape)
+        def read(head, li, name, shape):
+            return _binio.read_f64_array(fh, shape)
 
-        params = init_params(cfg, RngState(0))
-        read_into(params)
+        params = _build(cfg, read)
         for key, tensor in iter_trainable(params):
             opt.buffers[key] = _binio.read_f64_array(fh, tensor.shape)
-        target = init_params(cfg, RngState(0))
-        read_into(target)
+        target = _build(cfg, read)
     return params, opt, target

@@ -125,6 +125,30 @@ class TestPretrain:
         assert echo["k"] == 1 and echo["epochs"] == 1
         assert echo["data"] == SYN and echo["data_kind"] == "synthetic"
 
+    def test_config_file_seed_holds_without_the_flag(self, tmp_path, heads_config):
+        def run(name, file_seed, flag):
+            cfg = dict(json.loads(heads_config.read_text()), epochs=1, warmup_epochs=0)
+            if file_seed is not None:
+                cfg["seed"] = file_seed
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(cfg))
+            out = tmp_path / name
+            argv = ["pretrain", "--synthetic", SYN, "--batch", "16",
+                    "--config", str(path), "--out", str(out), *flag]
+            assert cli.main(argv) == 0
+            return out
+
+        from_file = run("file", 5, ())
+        from_flag = run("flag", None, ("--seed", "5"))
+        assert json.loads((from_file / "config.json").read_text())["seed"] == 5
+        for name in ("config.json", "metrics.csv", "checkpoint.psmc", "summary.json"):
+            assert (from_file / name).read_bytes() == (from_flag / name).read_bytes(), name
+        flag_wins = run("both", 5, ("--seed", "0"))
+        assert json.loads((flag_wins / "config.json").read_text())["seed"] == 0
+        assert (flag_wins / "checkpoint.psmc").read_bytes() != (
+            from_file / "checkpoint.psmc"
+        ).read_bytes()
+
     def test_aug_keys_route_into_policy(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(

@@ -33,7 +33,6 @@ class TestGenClusters:
         ds = gen_clusters(3, 10, 8, 4.0, seed=0)
         assert ds.features.shape == (30, 8)
         np.testing.assert_array_equal(ds.labels, np.repeat([0, 1, 2], 10))
-        assert ds.split == "train"
 
     def test_seed_determinism(self):
         a = gen_clusters(3, 5, 8, 4.0, seed=9)
@@ -100,9 +99,9 @@ class TestTwoViews:
         assert not np.array_equal(x1, x2)
 
     def test_single_row_round_trips_shape(self):
-        x = RngState(7).normal((5,))
+        x = RngState(7).normal((1, 5))
         x1, x2 = two_views(x, AugmentPolicy(), RngState(8))
-        assert x1.shape == (5,) and x2.shape == (5,)
+        assert x1.shape == (1, 5) and x2.shape == (1, 5)
 
     def test_noise_scale_matches_sigma(self):
         policy = AugmentPolicy(sigma=0.5, dropout=0.0, scale_lo=1.0, scale_hi=1.0)
@@ -135,10 +134,9 @@ class TestCsv:
         ds = gen_clusters(3, 7, 5, 4.0, seed=11)
         path = tmp_path / "d.csv"
         save_csv(ds, path)
-        back = load_csv(path, split="test")
+        back = load_csv(path)
         np.testing.assert_array_equal(back.features, ds.features)
         np.testing.assert_array_equal(back.labels, ds.labels)
-        assert back.split == "test"
 
     def test_blank_lines_are_skipped(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -198,7 +196,6 @@ class TestSplitDataset:
     def test_sizes_and_partition(self):
         train, test = split_dataset(self._tagged(), 0.25, seed=0)
         assert (train.n, test.n) == (15, 5)
-        assert (train.split, test.split) == ("train", "test")
         ids = np.concatenate([train.features[:, 0], test.features[:, 0]])
         np.testing.assert_array_equal(np.sort(ids), np.arange(20.0))
 

@@ -51,20 +51,17 @@ class TestPurity:
 
 
 class TestBceCoefficient:
-    def test_positive_branch(self):
-        assert bce_gradient_coefficient(0.3, is_positive=True) == pytest.approx(-0.7)
-
     def test_negative_branch(self):
-        assert bce_gradient_coefficient(0.3, is_positive=False) == pytest.approx(0.3)
+        assert bce_gradient_coefficient(0.3) == pytest.approx(0.3)
 
     def test_array_input(self):
-        out = bce_gradient_coefficient(np.array([0.0, 1.0]), is_positive=True)
-        np.testing.assert_allclose(out, [-1.0, 0.0])
+        out = bce_gradient_coefficient(np.array([0.0, 0.25, 1.0]))
+        np.testing.assert_array_equal(out, [0.0, 0.25, 1.0])
 
     @pytest.mark.parametrize("s", [-0.1, 1.1])
     def test_domain_checked(self, s):
         with pytest.raises(ValueError, match="0, 1"):
-            bce_gradient_coefficient(s, is_positive=False)
+            bce_gradient_coefficient(s)
 
 
 class TestGradientProfile:

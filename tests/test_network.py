@@ -574,6 +574,46 @@ class TestCheckpoint:
         for key in opt.buffers:
             np.testing.assert_array_equal(opt.buffers[key], o2.buffers[key])
 
+    @pytest.mark.parametrize("bn", [True, False])
+    @pytest.mark.parametrize(
+        "encoder,projector,predictor",
+        [((5,), (3,), (3,)), ((7, 3), (5, 3), (9, 3)), ((11, 7, 5), (13,), (13, 5, 13))],
+    )
+    def test_save_load_save_round_trip(self, tmp_path, bn, encoder, projector, predictor):
+        cfg = NetworkConfig(
+            in_dim=9, encoder=encoder, projector=projector, predictor=predictor, bn=bn
+        )
+        rng = RngState(33)
+        params = init_params(cfg, rng.split("online"))
+        target = init_params(cfg, rng.split("target"))
+        for net in (params, target):  # every tensor distinct, running statistics too
+            for head in HEADS:
+                for layer in net.head(head):
+                    for arr in vars(layer).values():
+                        if arr is not None:
+                            arr += rng.normal(arr.shape)
+        opt = OptimizerState(step_count=4)
+        grads = {key: rng.normal(t.shape) for key, t in iter_trainable(params)}
+        sgd_step(params, grads, opt, 0.1)
+        first, second = tmp_path / "a.psmc", tmp_path / "b.psmc"
+        save_checkpoint(params, opt, target, first)
+        p2, o2, t2 = load_checkpoint(first)
+        save_checkpoint(p2, o2, t2, second)
+        assert first.read_bytes() == second.read_bytes()
+        assert p2.config == cfg and t2.config == cfg
+        for net, back in ((params, p2), (target, t2)):
+            for head in HEADS:
+                assert len(back.head(head)) == len(net.head(head))
+                for layer, got in zip(net.head(head), back.head(head)):
+                    for name, arr in vars(layer).items():
+                        if arr is None:
+                            assert getattr(got, name) is None
+                        else:
+                            np.testing.assert_array_equal(getattr(got, name), arr)
+        assert o2.buffers.keys() == opt.buffers.keys()
+        for key, buf in opt.buffers.items():
+            np.testing.assert_array_equal(o2.buffers[key], buf)
+
     def test_wrong_magic_rejected(self, tmp_path):
         path = tmp_path / "x.psmc"
         path.write_bytes(b"JUNK" + b"\x00" * 32)
