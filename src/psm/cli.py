@@ -29,6 +29,7 @@ from .diagnostics import (
     gradient_profile,
     knn_probe,
     linear_probe,
+    linear_probe_k,
     purity,
     write_gradient_profile_csv,
     write_purity_csv,
@@ -215,7 +216,7 @@ def cmd_probe(args) -> int:
         top1, topk = linear_probe(
             train_emb, train_ds.labels, test_emb, test_ds.labels
         )
-        kk = min(5, int(train_ds.labels.max()) + 1)
+        kk = linear_probe_k(train_ds.labels, test_ds.labels)
         print("mode=linear")
         print(f"top1={top1!r}")
         print(f"top{kk}={topk!r}")

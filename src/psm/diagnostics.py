@@ -157,6 +157,11 @@ def knn_probe(
     return correct / test_emb.shape[0]
 
 
+def linear_probe_k(train_labels: np.ndarray, test_labels: np.ndarray) -> int:
+    """linear_probe's top-k: 5, or fewer if both splits together hold fewer classes."""
+    return min(5, int(max(np.max(train_labels), np.max(test_labels))) + 1)
+
+
 def linear_probe(
     train_emb: np.ndarray,
     train_labels: np.ndarray,
@@ -167,7 +172,8 @@ def linear_probe(
 ) -> tuple[float, float]:
     """Multinomial logistic head on frozen embeddings, full-batch GD.
 
-    Returns (top-1 accuracy, top-min(5, C) accuracy) on the test rows.
+    Returns (top-1 accuracy, top-k accuracy) on the test rows, with k from
+    linear_probe_k.
     """
     train_emb = np.asarray(train_emb, dtype=np.float64)
     test_emb = np.asarray(test_emb, dtype=np.float64)
@@ -190,8 +196,7 @@ def linear_probe(
         w -= lr * (g.T @ train_emb)
         b -= lr * g.sum(axis=0)
     logits = test_emb @ w.T + b
-    kk = min(5, n_classes)
-    order = top_k_indices(logits, kk)
+    order = top_k_indices(logits, linear_probe_k(train_labels, test_labels))
     top1 = float(np.mean(order[:, 0] == test_labels))
     topk = float(np.mean((order == test_labels[:, None]).any(axis=1)))
     return top1, topk

@@ -128,10 +128,10 @@ def copy_params(params: NetworkParams) -> NetworkParams:
     )
 
 
-def iter_trainable(params: NetworkParams):
-    """Yield (key, array) for every trainable tensor, declaration order."""
+def iter_trainable(params: NetworkParams, heads=HEADS):
+    """Yield (key, array) for every trainable tensor of ``heads``, declaration order."""
     names = _fields(params.config, trainable=True)
-    for head in HEADS:
+    for head in heads:
         for li, layer in enumerate(params.head(head)):
             for name in names:
                 yield f"{head}.{li}.{name}", getattr(layer, name)
@@ -248,10 +248,11 @@ def forward_projection(params: NetworkParams, x: np.ndarray, train: bool = True)
     Returns (z1, cache) with z1 row-normalized; zero rows stay zero and are
     flagged in cache["z1_zero"]. This is forward_online without the
     predictor, for losses that read only z1: its cache holds no predictor
-    entries, so backward takes only grad_z1 with it and commit_bn_stats
-    folds the encoder and projector alone. With train=False batch norm uses
-    running statistics and the cache's head entries are None. A (V, B, in)
-    stack of views gives (V, B, d) z1 and a cache with the same view axis.
+    entries, so backward takes the gradient w.r.t. z1 and, like
+    commit_bn_stats, reaches the encoder and projector alone. With
+    train=False batch norm uses running statistics and the cache's head
+    entries are None. A (V, B, in) stack of views gives (V, B, d) z1 and a
+    cache with the same view axis.
     """
     x = np.asarray(x, dtype=np.float64)
     cfg = params.config
@@ -321,22 +322,14 @@ def _norm_backward(grad_unit, raw, unit, zero_mask):
 
 
 def backward(
-    params: NetworkParams,
-    cache: dict,
-    grad_q1: np.ndarray | None = None,
-    grad_z1: np.ndarray | None = None,
+    params: NetworkParams, cache: dict, grad: np.ndarray
 ) -> dict[str, NDArray[np.float64]]:
-    """Backpropagate loss gradients into every online parameter.
+    """Backpropagate a loss gradient into the heads the cache's pass ran.
 
-    grad_q1 is with respect to the normalized q1 rows that forward_online
-    returned; grad_z1 (used by the baseline mode, which has no predictor in
-    the loss path) is with respect to normalized z1, each shaped like that
-    output. Target parameters receive nothing.
+    ``grad`` is with respect to the last normalized output of that pass, and
+    shaped like it: q1 for a forward_online cache, z1 for a forward_projection
+    cache. Gradients come back for those heads' trainable tensors only.
     """
-    if grad_q1 is None and grad_z1 is None:
-        raise ValueError("nothing to backpropagate")
-    if grad_q1 is not None and "predictor" not in cache:
-        raise ValueError("grad_q1 needs a cache from forward_online")
     grads: dict[str, NDArray[np.float64]] = {}
 
     def head_backward(head, grad_out, input_grad=True):
@@ -346,28 +339,15 @@ def backward(
         grads.update((f"{head}.{key}", val) for key, val in head_grads.items())
         return g
 
-    if grad_q1 is not None:
-        gv = _norm_backward(
-            np.asarray(grad_q1, dtype=np.float64),
-            cache["v"],
-            cache["q1"],
-            cache["q1_zero"],
-        )
-        gu = head_backward("predictor", gv)
+    g = np.asarray(grad, dtype=np.float64)
+    if "predictor" in cache:
+        g = _norm_backward(g, cache["v"], cache["q1"], cache["q1_zero"])
+        g = head_backward("predictor", g)
     else:
-        gu = np.zeros_like(cache["u"])
-    if grad_z1 is not None:
-        gu = gu + _norm_backward(
-            np.asarray(grad_z1, dtype=np.float64),
-            cache["u"],
-            cache["z1"],
-            cache["z1_zero"],
-        )
-    head_backward("encoder", head_backward("projector", gu), input_grad=False)
+        g = _norm_backward(g, cache["u"], cache["z1"], cache["z1_zero"])
+    head_backward("encoder", head_backward("projector", g), input_grad=False)
     if cache["x"].ndim == 3:  # sum each parameter's per-view gradients in view order
         grads = {key: np.add.reduce(val, 0) for key, val in grads.items()}
-    for key, tensor in iter_trainable(params):  # the predictor's, without grad_q1
-        grads.setdefault(key, np.zeros_like(tensor))
     return grads
 
 
@@ -385,8 +365,6 @@ def commit_bn_stats(params: NetworkParams, cache: dict) -> None:
     m = params.config.bn_momentum
     for head in HEADS:
         for layer, c in zip(params.head(head), cache.get(head, ())):
-            if layer.run_mean is None or c["mu"] is None:
-                continue
             bsz = c["x"].shape[-2]
             var = c["var"] * (bsz / (bsz - 1)) if bsz > 1 else c["var"]
             width = var.shape[-1]
@@ -437,8 +415,15 @@ def sgd_step(
     opt: OptimizerState,
     lr: float,
 ) -> NetworkParams:
-    """In-place momentum SGD: buf <- mom*buf + (grad + wd*param); param -= lr*buf."""
-    for key, tensor in iter_trainable(params):
+    """In-place momentum SGD: buf <- mom*buf + (grad + wd*param); param -= lr*buf.
+
+    Only the heads ``grads`` covers step, each with all of its tensors; a
+    head backward did not reach keeps its tensors and gets no buffer.
+    """
+    heads = [head for head in HEADS if any(key.startswith(f"{head}.") for key in grads)]
+    if not heads:
+        raise ValueError("missing gradients: no head is covered")
+    for key, tensor in iter_trainable(params, heads):
         if key not in grads:
             raise ValueError(f"missing gradient for {key}")
         g = grads[key]

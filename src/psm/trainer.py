@@ -12,7 +12,7 @@ neighbors; the view is already member 0 by construction.
 
 The baseline mode is a symmetric two-view InfoNCE over in-batch negatives
 with a single shared encoder+projector: no EMA, no bank, and the predictor
-is never run, so its running statistics keep their initial values.
+is neither run nor trained, so all its tensors keep their initial values.
 Negative mining plugs into it unchanged.
 
 A step stacks its views (2, B, in) and runs one online pass on both (the
@@ -173,7 +173,7 @@ class _StepEval:
     loss: float
     soft_value: float
     hard_value: float
-    grad: dict[str, NDArray[np.float64]]  # backward's keyword: one direction, or stacked
+    grad: NDArray[np.float64]  # backward's gradient: one direction, or stacked
     retained_mean: float
     purity_top1: float | None = None
     purity_topk: float | None = None
@@ -187,7 +187,7 @@ def _mean_over_directions(dirs: list[_StepEval], cache: dict) -> _StepEval:
         loss=sum(d.loss for d in dirs) / n,
         soft_value=sum(d.soft_value for d in dirs) / n,
         hard_value=sum(d.hard_value for d in dirs) / n,
-        grad={key: np.stack([d.grad[key] for d in dirs]) / n for key in dirs[0].grad},
+        grad=np.stack([d.grad for d in dirs]) / n,
         retained_mean=sum(d.retained_mean for d in dirs) / n,
         purity_top1=dirs[0].purity_top1,
         purity_topk=dirs[0].purity_topk,
@@ -293,7 +293,7 @@ def _psm_pass(
         loss=soft_value + cfg.lam * hard_value,
         soft_value=soft_value,
         hard_value=hard_value,
-        grad={"grad_q1": soft_grad + cfg.lam * hard_grad},
+        grad=soft_grad + cfg.lam * hard_grad,
         retained_mean=retained,
         purity_top1=purity_top1,
         purity_topk=purity_topk,
@@ -352,7 +352,7 @@ def _evaluate_baseline_step(
         neg = _pool_mask(cfg, q, pos, cands, owner, rng_pnsm.split("pass", v))
         out = _masked_nce(q, pos, np.ones(bsz), cands, neg, cfg.t)
         retained = float(out.neg_counts.mean())
-        dirs.append(_StepEval(out.value, nan, nan, {"grad_z1": out.grad_q}, retained))
+        dirs.append(_StepEval(out.value, nan, nan, out.grad_q, retained))
     return _mean_over_directions(dirs, cache)
 
 
@@ -425,7 +425,7 @@ def pretrain(
                 )
             if not np.isfinite(ev.loss):
                 raise ValueError(f"non-finite loss at epoch {epoch} step {step}")
-            grads = backward(params, ev.cache, **ev.grad)
+            grads = backward(params, ev.cache, ev.grad)
             commit_bn_stats(params, ev.cache)
             lr = lr_at(opt, (epoch - 1) + step / steps_per_epoch)
             sgd_step(params, grads, opt, lr)

@@ -137,7 +137,7 @@ def test_criterion_02_parameter_gradients_match_finite_differences():
             _, q1, _ = forward_online(p, x, train=True)
             return soft(q1).value + lam * hard(q1).value
 
-        grads = backward(params, cache, grad_q1=soft(q1).grad_q + lam * hard(q1).grad_q)
+        grads = backward(params, cache, soft(q1).grad_q + lam * hard(q1).grad_q)
         fd = {}
         for key, tensor in iter_trainable(params):
             approx = np.zeros_like(tensor)

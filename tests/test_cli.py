@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from psm import cli
-from psm.data import Dataset, load_csv, save_csv
+from psm.data import Dataset, load_csv, save_csv, split_dataset
 from psm.memory_bank import MemoryBank, load_bank, query_topk, save_bank
 from psm.numerics import RngState, l2_normalize_rows
 from psm.pnsm import MiningConfig, mine_negatives
@@ -345,6 +345,21 @@ class TestProbe:
         assert "mode=linear" in out
         assert any(l.startswith("top1=") for l in out.splitlines())
         assert any(l.startswith("top3=") for l in out.splitlines())
+
+    def test_linear_mode_names_the_k_it_scored(self, mini_run, tmp_path, capsys):
+        # label 4 has one row, and seed 5 puts it in the test split only: the
+        # probe scores five classes, so its top-k accuracy is a top-5
+        labels = np.append(np.arange(80, dtype=np.int64) % 4, 4)
+        path = tmp_path / "five.csv"
+        save_csv(Dataset(RngState(7).normal((81, 8)), labels), path)
+        _, test = split_dataset(load_csv(path), 0.2, 5)
+        assert 4 in test.labels
+        checkpoint = str(mini_run / "checkpoint.psmc")
+        argv = ["probe", "--checkpoint", checkpoint, "--data", str(path), "--seed", "5"]
+        assert cli.main([*argv, "--mode", "linear"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "mode=linear" and lines[1].startswith("top1=")
+        assert lines[2].startswith("top5=")
 
     def test_data_width_mismatch_is_data_error(self, mini_run, capsys):
         code = cli.main(

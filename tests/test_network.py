@@ -266,14 +266,9 @@ class TestTrainHead:
         assert "predictor" not in cache and "q1" not in cache
         for key in ("u", "z1", "z1_zero"):
             np.testing.assert_array_equal(cache[key], full[key])
-        cz = RngState(35).normal(z1.shape)
-        grads = backward(params, cache, grad_z1=cz)
-        grads_full = backward(params, full, grad_z1=cz)
-        assert grads.keys() == grads_full.keys()
-        for key, val in grads_full.items():
-            np.testing.assert_array_equal(grads[key], val, err_msg=key)
-        with pytest.raises(ValueError, match="forward_online"):
-            backward(params, cache, grad_q1=cz)
+        grads = backward(params, cache, RngState(35).normal(z1.shape))
+        trained = iter_trainable(params, ("encoder", "projector"))
+        assert sorted(grads) == sorted(key for key, _ in trained)
 
 
 class TestBackward:
@@ -288,7 +283,7 @@ class TestBackward:
             return float((c_q * q1).sum())
 
         _, q1, cache = forward_online(params, x, train=True)
-        grads = backward(params, cache, grad_q1=c_q)
+        grads = backward(params, cache, c_q)
         self._check_fd(params, grads, loss_at)
 
     @pytest.mark.parametrize("bn", [False, True])
@@ -298,20 +293,17 @@ class TestBackward:
         c_z = RngState(10).normal((5, 5))
 
         def loss_at(p):
-            z1, _, _ = forward_online(p, x, train=True)
+            z1, _ = forward_projection(p, x)
             return float((c_z * z1).sum())
 
-        z1, _, cache = forward_online(params, x, train=True)
-        grads = backward(params, cache, grad_z1=c_z)
-        self._check_fd(params, grads, loss_at, skip_predictor=True)
+        _, cache = forward_projection(params, x)
+        grads = backward(params, cache, c_z)
+        self._check_fd(params, grads, loss_at, heads=("encoder", "projector"))
 
     @staticmethod
-    def _check_fd(params, grads, loss_at, skip_predictor=False, h=1e-6):
+    def _check_fd(params, grads, loss_at, heads=HEADS, h=1e-6):
         fd = {}
-        for key, tensor in iter_trainable(params):
-            if skip_predictor and key.startswith("predictor"):
-                np.testing.assert_array_equal(grads[key], 0.0)
-                continue
+        for key, tensor in iter_trainable(params, heads):
             approx = np.zeros_like(tensor)
             it = np.nditer(tensor, flags=["multi_index"])
             for _ in it:
@@ -332,29 +324,18 @@ class TestBackward:
             err = float(np.abs(approx - grads[key]).max()) / scale
             assert err <= 1e-5, f"{key}: rel err {err:.3e}"
 
-    def test_requires_some_gradient(self):
-        params = _toy_params()
-        _, _, cache = forward_online(params, np.ones((3, 8)), train=True)
-        with pytest.raises(ValueError):
-            backward(params, cache)
-
-    def test_combined_q_and_z_paths_sum(self):
-        params = _toy_params(seed=11)
-        x = RngState(12).normal((4, 8))
-        cq = RngState(13).normal((4, 5))
-        cz = RngState(14).normal((4, 5))
-        _, _, cache = forward_online(params, x, train=True)
-        both = backward(params, cache, grad_q1=cq, grad_z1=cz)
-        q_only = backward(params, cache, grad_q1=cq)
-        z_only = backward(params, cache, grad_z1=cz)
-        for key in both:
-            np.testing.assert_allclose(
-                both[key], q_only[key] + z_only[key], atol=1e-12
-            )
-
 
 class TestViewStack:
     """A (V, B, in) training pass equals V separate (B, in) passes bit for bit."""
+
+    @staticmethod
+    def _pass(params, x, projection):
+        """The normalized outputs and cache of a training pass of either kind."""
+        if projection:
+            z1, cache = forward_projection(params, x)
+            return (z1,), cache
+        z1, q1, cache = forward_online(params, x)
+        return (z1, q1), cache
 
     @pytest.mark.parametrize("bn", [True, False])
     @pytest.mark.parametrize("n_views", [2, 3])
@@ -362,47 +343,49 @@ class TestViewStack:
         cfg = NetworkConfig(
             in_dim=11, encoder=(37, 13), projector=(19, 7), predictor=(23, 7), bn=bn
         )
-        params = init_params(cfg, RngState(41))
+        init = init_params(cfg, RngState(41))
         rng = RngState(42)
         perturb = rng.split("perturb")
-        for _, arr in iter_trainable(params):
+        for _, arr in iter_trainable(init):
             arr += 0.3 * perturb.normal(arr.shape)
-        sep = copy_params(params)
         x = rng.split("x").normal((n_views, 13, 11))
-        grad_q = rng.split("q").normal((n_views, 13, 7))
-        grad_z = rng.split("z").normal((n_views, 13, 7))
-
-        z1, q1, cache = forward_online(params, x)
-        grads = backward(params, cache, grad_q1=grad_q, grad_z1=grad_z)
-        commit_bn_stats(params, cache)
-        ref_grads = None
-        for v in range(n_views):
-            z1_v, q1_v, cache_v = forward_online(sep, x[v])
-            np.testing.assert_array_equal(z1[v], z1_v)
-            np.testing.assert_array_equal(q1[v], q1_v)
+        # both pass kinds: the gradient is w.r.t. q1 (online) or z1 (projection)
+        for projection, stream in ((False, "q"), (True, "z")):
+            params, sep = copy_params(init), copy_params(init)
+            grad = rng.split(stream).normal((n_views, 13, 7))
+            outs, cache = self._pass(params, x, projection)
+            grads = backward(params, cache, grad)
+            commit_bn_stats(params, cache)
+            ref_grads = None
+            for v in range(n_views):
+                outs_v, cache_v = self._pass(sep, x[v], projection)
+                for out, out_v in zip(outs, outs_v):
+                    np.testing.assert_array_equal(out[v], out_v)
+                for head in HEADS:
+                    pairs = zip(cache.get(head, ()), cache_v.get(head, ()))
+                    for li, (c, c_v) in enumerate(pairs):
+                        for key in ("mu", "var"):
+                            if c_v[key] is None:
+                                assert c[key] is None
+                            else:
+                                np.testing.assert_array_equal(
+                                    c[key][v], c_v[key], err_msg=f"{head}.{li}.{key}"
+                                )
+                part = backward(sep, cache_v, grad[v])
+                if ref_grads is None:
+                    ref_grads = part
+                else:
+                    for key in ref_grads:
+                        ref_grads[key] += part[key]
+                commit_bn_stats(sep, cache_v)
+            assert grads.keys() == ref_grads.keys()
+            assert any(key.startswith("predictor") for key in grads) != projection
+            for key, val in ref_grads.items():
+                np.testing.assert_array_equal(grads[key], val, err_msg=key)
             for head in HEADS:
-                for li, (c, c_v) in enumerate(zip(cache[head], cache_v[head])):
-                    for key in ("mu", "var"):
-                        if c_v[key] is None:
-                            assert c[key] is None
-                        else:
-                            np.testing.assert_array_equal(
-                                c[key][v], c_v[key], err_msg=f"{head}.{li}.{key}"
-                            )
-            part = backward(sep, cache_v, grad_q1=grad_q[v], grad_z1=grad_z[v])
-            if ref_grads is None:
-                ref_grads = part
-            else:
-                for key in ref_grads:
-                    ref_grads[key] += part[key]
-            commit_bn_stats(sep, cache_v)
-        assert grads.keys() == ref_grads.keys()
-        for key, val in ref_grads.items():
-            np.testing.assert_array_equal(grads[key], val, err_msg=key)
-        for head in HEADS:
-            for layer, ref in zip(params.head(head), sep.head(head)):
-                np.testing.assert_array_equal(layer.run_mean, ref.run_mean)
-                np.testing.assert_array_equal(layer.run_var, ref.run_var)
+                for layer, ref in zip(params.head(head), sep.head(head)):
+                    np.testing.assert_array_equal(layer.run_mean, ref.run_mean)
+                    np.testing.assert_array_equal(layer.run_var, ref.run_var)
 
 
 class TestBnStats:
@@ -457,6 +440,26 @@ class TestOptimizer:
         params = _toy_params()
         with pytest.raises(ValueError, match="missing gradient"):
             sgd_step(params, {}, OptimizerState(), lr=0.1)
+
+    def test_steps_only_the_covered_heads(self):
+        params = _toy_params()
+        before = copy_params(params)
+        opt = OptimizerState()
+        grads = {
+            key: np.full_like(t, 0.5)
+            for key, t in iter_trainable(params)
+            if not key.startswith("predictor")
+        }
+        sgd_step(params, grads, opt, lr=0.1)
+        assert sorted(opt.buffers) == sorted(grads)
+        for (key, a), (_, b) in zip(iter_trainable(params), iter_trainable(before)):
+            assert np.array_equal(a, b) == key.startswith("predictor"), key
+
+    def test_partly_covered_head_rejected(self):
+        params = _toy_params()
+        grads = {"predictor.1.w": np.zeros_like(params.predictor[1].w)}
+        with pytest.raises(ValueError, match=r"missing gradient for predictor\.0\.w"):
+            sgd_step(params, grads, OptimizerState(), lr=0.1)
 
     def test_shape_mismatch_rejected(self):
         params = _toy_params()

@@ -307,7 +307,7 @@ class TestPsmLoss:
         assert soft.hard_value == 0.0 and hard.soft_value == 0.0
         assert soft.loss == soft.soft_value and hard.loss == 2.5 * hard.hard_value
         assert total.loss == pytest.approx(soft.soft_value + 2.5 * hard.hard_value, abs=1e-12)
-        g_total, g_soft, g_hard = (e.grad["grad_q1"] for e in (total, soft, hard))
+        g_total, g_soft, g_hard = (e.grad for e in (total, soft, hard))
         np.testing.assert_allclose(g_total, g_soft + g_hard, atol=1e-12)
 
 

@@ -190,8 +190,8 @@ class TestSwapInvariance:
         assert ev_a.loss == pytest.approx(ev_b.loss, abs=1e-9)
         assert ev_a.soft_value == pytest.approx(ev_b.soft_value, abs=1e-9)
         assert ev_a.hard_value == pytest.approx(ev_b.hard_value, abs=1e-9)
-        ga = backward(params, ev_a.cache, **ev_a.grad)
-        gb = backward(params, ev_b.cache, **ev_b.grad)
+        ga = backward(params, ev_a.cache, ev_a.grad)
+        gb = backward(params, ev_b.cache, ev_b.grad)
         for key in ga:
             np.testing.assert_allclose(ga[key], gb[key], rtol=1e-7, atol=1e-10)
 
@@ -426,26 +426,29 @@ class TestBaselineForward:
         x = gen_clusters(4, 4, 8, 6.0, seed=6).features
         cfg = _mini_cfg(baseline=True, a=2.0)
         views = np.stack([x + 0.05, x - 0.05])
-        ev = _evaluate_baseline_step(cfg, params, views, 1, 0, RngState(9))
-        return ev, backward(params, ev.cache, **ev.grad)
+        return params, _evaluate_baseline_step(cfg, params, views, 1, 0, RngState(9))
 
     def test_step_equals_the_full_online_pass(self, monkeypatch):
+        """The loss reads the full pass's z1; the gradient stops at the projector.
+
+        The per-view gradients are compared in TestOnePassPerStep.
+        """
         from psm import trainer
 
-        short_ev, short_grads = self._step()
+        params, short_ev = self._step()
+        short_grads = backward(params, short_ev.cache, short_ev.grad)
 
         def full_pass(params, x):
             z1, _, cache = forward_online(params, x, train=True)
             return z1, cache
 
         monkeypatch.setattr(trainer, "forward_projection", full_pass)
-        full_ev, full_grads = self._step()
+        _, full_ev = self._step()
         assert short_ev.loss == full_ev.loss
         assert short_ev.retained_mean == full_ev.retained_mean
-        assert short_grads.keys() == full_grads.keys()
-        for key, val in full_grads.items():
-            np.testing.assert_array_equal(short_grads[key], val, err_msg=key)
+        np.testing.assert_array_equal(short_ev.grad, full_ev.grad)
         assert "predictor" not in short_ev.cache and "predictor" in full_ev.cache
+        assert {key.partition(".")[0] for key in short_grads} == {"encoder", "projector"}
 
     def test_predictor_running_stats_stay_initial(self, mini_data):
         train, _ = mini_data
@@ -454,9 +457,22 @@ class TestBaselineForward:
             np.testing.assert_array_equal(layer.run_mean, 0.0)
             np.testing.assert_array_equal(layer.run_var, 1.0)
         assert not np.array_equal(art.params.encoder[0].run_mean, 0.0)
-        # weight decay still reaches the predictor through its zero gradient
+        # the predictor is neither run nor trained: no decay, no buffer
         init = init_params(art.params.config, RngState(0).split("net"))
-        assert not np.array_equal(art.params.predictor[0].w, init.predictor[0].w)
+        for layer, ref in zip(art.params.predictor, init.predictor):
+            for name in ("w", "b", "gamma", "beta"):
+                np.testing.assert_array_equal(getattr(layer, name), getattr(ref, name))
+        assert not any(key.startswith("predictor") for key in art.opt.buffers)
+        assert any(key.startswith("encoder") for key in art.opt.buffers)
+
+    def test_psm_run_trains_the_predictor(self, mini_data):
+        train, _ = mini_data
+        art = pretrain(_mini_cfg(epochs=1), train)
+        init = init_params(art.params.config, RngState(0).split("net"))
+        for layer, ref in zip(art.params.predictor, init.predictor):
+            assert not np.array_equal(layer.w, ref.w)
+            assert not np.array_equal(layer.run_mean, ref.run_mean)
+        assert sorted(art.opt.buffers) == sorted(key for key, _ in iter_trainable(art.params))
 
 
 class TestOnePassPerStep:
@@ -479,7 +495,7 @@ class TestOnePassPerStep:
 
     @staticmethod
     def _assert_same_update(params, ev, ref_params, ref_caches, ref_grads):
-        grads = backward(params, ev.cache, **ev.grad)
+        grads = backward(params, ev.cache, ev.grad)
         summed = ref_grads[0]
         for part in ref_grads[1:]:
             for key in summed:
@@ -512,7 +528,7 @@ class TestOnePassPerStep:
             out = _masked_nce(q, pos, np.ones(13), cands, neg, cfg.t)
             losses.append(out.value)
             retained.append(float(out.neg_counts.mean()))
-            grads.append(backward(ref_params, cache, grad_z1=0.5 * out.grad_q))
+            grads.append(backward(ref_params, cache, 0.5 * out.grad_q))
         assert ev.loss == 0.5 * (losses[0] + losses[1])
         assert ev.retained_mean == 0.5 * (retained[0] + retained[1])
         self._assert_same_update(params, ev, ref_params, (cache_a, cache_b), grads)
@@ -550,7 +566,7 @@ class TestOnePassPerStep:
 
         scale = 0.5 if symmetrize else 1.0
         grads = [
-            backward(ref_params, cache, grad_q1=scale * d.grad["grad_q1"])
+            backward(ref_params, cache, scale * d.grad)
             for d, cache in zip(dirs, caches)
         ]
         for name in ("loss", "soft_value", "hard_value"):
