@@ -47,6 +47,14 @@ def read_u8(fh: BinaryIO) -> int:
     return struct.unpack("<B", _read_exact(fh, 1))[0]
 
 
+def read_flag(fh: BinaryIO) -> bool:
+    """A u8 that must be 0 or 1."""
+    v = read_u8(fh)
+    if v > 1:
+        raise FormatError(f"flag byte must be 0 or 1, got {v}")
+    return bool(v)
+
+
 def read_u32(fh: BinaryIO) -> int:
     return struct.unpack("<I", _read_exact(fh, 4))[0]
 

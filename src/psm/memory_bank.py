@@ -170,7 +170,7 @@ def load_bank(path: str | Path) -> MemoryBank:
         capacity = _binio.read_u64(fh)
         count = _binio.read_u64(fh)
         dim = _binio.read_u64(fh)
-        has_labels = _binio.read_u8(fh)
+        has_labels = _binio.read_flag(fh)
         if capacity < 1 or dim < 1:
             raise _binio.FormatError("bank capacity and dim must be positive")
         if count > capacity:
@@ -182,7 +182,7 @@ def load_bank(path: str | Path) -> MemoryBank:
             raise _binio.FormatError(str(exc)) from None
         labels = _binio.read_i64_array(fh, (count,)) if has_labels else None
         _binio.expect_eof(fh, "bank")
-    bank = MemoryBank(capacity, dim, with_labels=bool(has_labels))
+    bank = MemoryBank(capacity, dim, with_labels=has_labels)
     if count:
         bank.enqueue_batch(entries, labels)
     return bank

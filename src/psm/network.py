@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -418,7 +419,8 @@ def sgd_step(
     """In-place momentum SGD: buf <- mom*buf + (grad + wd*param); param -= lr*buf.
 
     Only the heads ``grads`` covers step, each with all of its tensors; a
-    head backward did not reach keeps its tensors and gets no buffer.
+    head backward did not reach keeps its tensors and gets no buffer. Every
+    gradient is checked before the first write, so a bad dict changes nothing.
     """
     heads = [head for head in HEADS if any(key.startswith(f"{head}.") for key in grads)]
     if not heads:
@@ -426,9 +428,10 @@ def sgd_step(
     for key, tensor in iter_trainable(params, heads):
         if key not in grads:
             raise ValueError(f"missing gradient for {key}")
-        g = grads[key]
-        if g.shape != tensor.shape:
+        if grads[key].shape != tensor.shape:
             raise ValueError(f"gradient shape mismatch for {key}")
+    for key, tensor in iter_trainable(params, heads):
+        g = grads[key]
         buf = opt.buffers.get(key)
         if buf is None:
             buf = np.zeros_like(tensor)
@@ -531,8 +534,10 @@ def load_checkpoint(
         if version != _CKPT_VERSION:
             raise _binio.FormatError(f"unsupported checkpoint version {version}")
         in_dim = _binio.read_u64(fh)
-        bn = bool(_binio.read_u8(fh))
+        bn = _binio.read_flag(fh)
         bn_eps, bn_momentum = _binio.read_f64_array(fh, (2,))
+        if not (0.0 < bn_eps < math.inf and 0.0 <= bn_momentum <= 1.0):
+            raise _binio.FormatError(f"bad batch-norm eps {bn_eps}, momentum {bn_momentum}")
         widths = {}
         for head in HEADS:
             n = _binio.read_u64(fh)
@@ -559,11 +564,17 @@ def load_checkpoint(
             step_count=_binio.read_u64(fh),
         )
 
-        def read(head, li, name, shape):
-            return _binio.read_f64_array(fh, shape)
+        def read(head, li, name, shape, section="online"):
+            arr = _binio.read_f64_array(fh, shape)
+            where = f"{section} {head}.{li}.{name}"
+            if not np.isfinite(arr).all():
+                raise _binio.FormatError(f"non-finite value in {where}")
+            if name == "run_var" and (arr < 0).any():
+                raise _binio.FormatError(f"negative running variance in {where}")
+            return arr
 
         params = _build(cfg, read)
         for key, tensor in iter_trainable(params):
-            opt.buffers[key] = _binio.read_f64_array(fh, tensor.shape)
-        target = _build(cfg, read)
+            opt.buffers[key] = read(*key.split("."), tensor.shape, section="buffer")
+        target = _build(cfg, partial(read, section="target"))
     return params, opt, target

@@ -4,15 +4,17 @@ The trainer's positives for a query are its target view (member 0) and
 the k bank neighbors mined for that view. ``soft_weights`` turns their
 similarities to the online projection z1 into a softmax, and
 ``apply_weight_strategy`` reshapes those weights per the V0..V4
-ablations. ``weighted_nce_csr`` is the one loss: every positive sits in
-the numerator with its weight and in the query's denominator beside the
-query's negatives. The trainer runs it once per pool, the soft pool with
-the mined members as positives and the hard pool with the view alone,
-weighted 1. It returns the analytic gradient with respect to the raw
-(pre-normalization) prediction rows q1; every other embedding, and the
-weights themselves, are treated as constants. That stop-gradient
-boundary matches the asymmetric online/target design: the target branch
-never receives gradient.
+ablations. ``weighted_nce_csr`` is the one loss. Each query owns one row
+of a dense (B, P, d) positive block with (B, P) weights; every positive
+sits in the numerator with its weight and in the query's denominator
+beside the query's negatives. The trainer runs it once per pool: the soft
+pool with a query's k+1 members as its P positives, the hard pool (and
+the baseline) with the other view alone, P = 1 and weight 1. It returns
+the analytic gradient with respect to the raw (pre-normalization)
+prediction rows q1; every other embedding, and the weights themselves,
+are treated as constants. That stop-gradient boundary matches the
+asymmetric online/target design: the target branch never receives
+gradient.
 
 Weighting strategies:
   V0  softmax weights as computed
@@ -103,53 +105,44 @@ def apply_weight_strategy(
     return weights
 
 
-# Weighted NCE loss + gradient, ragged over both positives and negatives.
+# Weighted NCE loss + gradient over dense positives and ragged negatives.
 #
-# Layout: query i owns positives pos_flat[pos_off[i]:pos_off[i+1]] with
-# weights w_flat over the same span, and negatives cands[neg_idx[m]] for
-# m in [neg_off[i], neg_off[i+1]); a candidate listed twice for one query
-# counts twice. The per-query loss is
-#     sum_j w_j * (logsumexp(all logits / t) - s_pos_j / t)
-# where "all logits" spans that query's positives and negatives together.
-# The gradient is with respect to the raw (pre-normalization) query row;
-# weights, positives, and candidates are constants.
+# Query i owns the P positives pos[i], weighted w[i], and the negatives
+# cands[neg_idx[neg_off[i]:neg_off[i+1]]]; a candidate listed twice counts
+# twice. Its loss is sum_j w_ij * (logsumexp(all logits / t) - s_pos_ij / t),
+# where "all logits" spans its positives and negatives together. The
+# gradient is w.r.t. the raw (pre-normalization) query row; weights,
+# positives and candidates are constants.
 #
-# The whole batch is one computation with no per-query loop. One (B, M)
-# product q @ cands.T holds every query-candidate logit, and one bincount
-# over row*M + idx counts how often each candidate is listed for each
-# query, so a candidate listed twice counts twice. Positive logits are row
-# dots against pos_flat. Row maxima come from the listed logits and from
-# the positives scattered into a -inf filled (B, P) grid. exp(logit - max)
-# times the count gives the row sums and, scaled per row, the (B, M)
-# matrix D of d(loss)/d(similarity); the positives' derivatives fill a
-# (B, P) matrix Dp. The gradient is D @ cands + Dp @ pos_flat, projected
-# onto each query's tangent plane and divided by its norm, so no (n_neg, d)
-# or (B, M, d) temporary is formed. A row with zero norm or no positives
-# gets loss 0 and gradient 0; a row with no negatives keeps its
-# positive-only loss.
+# One (B, M) product q @ cands.T holds every query-candidate logit, and one
+# bincount over row*M + idx counts each candidate's listings per query. Row
+# maxima come from the listed logits and the (B, P) positive logits. The
+# (B, M) and (B, P) derivatives of the loss w.r.t. each similarity, D and
+# Dp, give the gradient D @ cands + sum_p Dp[:, p] * pos[:, p], projected
+# onto each query's tangent plane and divided by its norm; no (B, M, d)
+# temporary is formed. A zero-norm row, and every row of a P = 0 block, gets
+# loss 0 and gradient 0; a row with no negatives keeps its positive-only loss.
 
 
 def nce_loss_grad(
     q_raw: NDArray[np.float64],
-    pos_flat: NDArray[np.float64],
-    w_flat: NDArray[np.float64],
-    pos_off: NDArray[np.int64],
+    pos: NDArray[np.float64],
+    w: NDArray[np.float64],
+    t: float,
     cands: NDArray[np.float64],
     neg_idx: NDArray[np.int64],
     neg_off: NDArray[np.int64],
-    t: float,
 ) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
     """Per-query weighted NCE loss values and gradients w.r.t. raw queries.
 
     Args:
         q_raw: (B, d) query rows, normalized inside the kernel.
-        pos_flat: flattened positive embeddings, unit rows.
-        w_flat: weight per positive, aligned with pos_flat.
-        pos_off: (B+1,) segment offsets into pos_flat / w_flat.
+        pos: (B, P, d) positive embeddings per query, unit rows.
+        w: (B, P) weight per positive.
+        t: temperature, > 0.
         cands: (M, d) candidate matrix holding every potential negative.
         neg_idx: flat candidate row indices, one per retained negative.
         neg_off: (B+1,) segment offsets into neg_idx.
-        t: temperature, > 0.
 
     Returns:
         (loss_per_query, grad_raw) with shapes (B,) and (B, d).
@@ -157,22 +150,15 @@ def nce_loss_grad(
     if t <= 0.0:
         raise ValueError(f"temperature must be positive, got {t}")
     q_raw = np.ascontiguousarray(q_raw, dtype=np.float64)
-    pos_flat = np.ascontiguousarray(pos_flat, dtype=np.float64)
-    w_flat = np.ascontiguousarray(w_flat, dtype=np.float64)
+    pos = np.ascontiguousarray(pos, dtype=np.float64)
+    w = np.ascontiguousarray(w, dtype=np.float64)
     cands = np.ascontiguousarray(cands, dtype=np.float64)
-    pos_off = np.ascontiguousarray(pos_off, dtype=np.int64)
     neg_idx = np.ascontiguousarray(neg_idx, dtype=np.int64)
     neg_off = np.ascontiguousarray(neg_off, dtype=np.int64)
-    if cands.ndim != 2:
-        cands = cands.reshape(0, q_raw.shape[1])
-    t = float(t)
-    nq = q_raw.shape[0]
-    n_cands, n_pos = cands.shape[0], pos_flat.shape[0]
-    rows, pos_col = np.arange(nq), np.arange(n_pos)
-    pos_row = np.repeat(rows, np.diff(pos_off))
-    neg_row = np.repeat(rows, np.diff(neg_off))
+    nq, n_cands = q_raw.shape[0], cands.shape[0]
+    neg_row = np.repeat(np.arange(nq), np.diff(neg_off))
     nrm = np.sqrt(np.einsum("bd,bd->b", q_raw, q_raw))
-    live = (nrm > 0.0) & (pos_off[1:] > pos_off[:-1])
+    live = (nrm > 0.0) & (pos.shape[1] > 0)
     nrm = np.where(live, nrm, 1.0)
     q = q_raw / nrm[:, None]
 
@@ -182,12 +168,10 @@ def nce_loss_grad(
     ).reshape(nq, n_cands)
     logit_neg = q @ cands.T
     logit_neg /= t
-    logit_pos = np.einsum("pd,pd->p", pos_flat, q[pos_row]) / t
-    grid_pos = np.full((nq, n_pos), -np.inf)
-    grid_pos[pos_row, pos_col] = logit_pos
+    logit_pos = np.einsum("bpd,bd->bp", pos, q) / t
     m = np.maximum(
         np.where(n_listed > 0, logit_neg, -np.inf).max(axis=1, initial=-np.inf),
-        grid_pos.max(axis=1, initial=-np.inf),
+        logit_pos.max(axis=1, initial=-np.inf),
     )
     m = np.where(live, m, 0.0)
     # Unlisted cells may lie above the row maximum; capping them at 0 keeps
@@ -197,20 +181,19 @@ def nce_loss_grad(
     np.minimum(e_neg, 0.0, out=e_neg)
     np.exp(e_neg, out=e_neg)
     e_neg *= n_listed
-    e_pos = np.exp(logit_pos - m[pos_row])
-    z = e_neg.sum(axis=1) + np.bincount(pos_row, e_pos, minlength=nq)
+    e_pos = np.exp(logit_pos - m[:, None])
+    z = e_neg.sum(axis=1) + e_pos.sum(axis=1)
     z = np.where(live, z, 1.0)
     lse = m + np.log(z)
-    wsum = np.bincount(pos_row, w_flat, minlength=nq)
-    loss = np.bincount(pos_row, w_flat * (lse[pos_row] - logit_pos), minlength=nq)
+    wsum = w.sum(axis=1)
+    loss = (w * (lse[:, None] - logit_pos)).sum(axis=1)
 
     # d(loss)/d(similarity) for every member of each query's denominator.
     scale = wsum / (t * z)
     d_neg = e_neg
     d_neg *= scale[:, None]
-    d_pos = np.zeros((nq, n_pos))
-    d_pos[pos_row, pos_col] = scale[pos_row] * e_pos - w_flat / t
-    g = d_neg @ cands + d_pos @ pos_flat
+    d_pos = scale[:, None] * e_pos - w / t
+    g = d_neg @ cands + np.einsum("bp,bpd->bd", d_pos, pos)
     grad = (g - np.einsum("bd,bd->b", q, g)[:, None] * q) / nrm[:, None]
     loss[~live] = 0.0
     grad[~live] = 0.0
@@ -219,28 +202,24 @@ def nce_loss_grad(
 
 def weighted_nce_csr(
     q1: np.ndarray,
-    pos_flat: np.ndarray,
-    w_flat: np.ndarray,
-    pos_off: np.ndarray,
+    pos: np.ndarray,
+    w: np.ndarray,
+    t: float,
     cands: np.ndarray,
     neg_idx: np.ndarray,
     neg_off: np.ndarray,
-    t: float,
 ) -> LossOutput:
-    """Batch-mean weighted NCE over ragged positive and negative segments.
+    """Batch-mean weighted NCE over (B, P) positive blocks and ragged negatives.
 
-    The layout is ``nce_loss_grad``'s: query i owns the positives
-    ``pos_off[i]:pos_off[i+1]`` of ``pos_flat``/``w_flat`` and the
-    negatives ``cands[neg_idx[neg_off[i]:neg_off[i+1]]]``. The trainer
-    reads both pools' lists off its (query x candidate) masks and shares
-    one candidate matrix per pool, so no negative row is copied. No input
+    The layout is ``nce_loss_grad``'s: query i owns the positives ``pos[i]``
+    with weights ``w[i]`` and the negatives
+    ``cands[neg_idx[neg_off[i]:neg_off[i+1]]]``. The trainer reads each
+    pool's negative lists off its (query x candidate) mask and shares one
+    candidate matrix per pool, so no negative row is copied. No input
     validation happens here beyond what the kernel needs.
     """
-    q1 = np.asarray(q1, dtype=np.float64)
-    bsz = q1.shape[0]
-    per_query, grad = nce_loss_grad(
-        q1, pos_flat, w_flat, pos_off, cands, neg_idx, neg_off, t
-    )
+    per_query, grad = nce_loss_grad(q1, pos, w, t, cands, neg_idx, neg_off)
+    bsz = len(per_query)
     neg_counts = np.diff(np.asarray(neg_off, dtype=np.int64))
     return LossOutput(
         value=float(per_query.mean()) if bsz else 0.0,

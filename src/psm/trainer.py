@@ -239,14 +239,12 @@ def _masked_nce(
 ) -> LossOutput:
     """Weighted NCE of q against the candidates its mask row keeps.
 
-    Each query owns ``len(w) // B`` consecutive rows of ``pos``. The flat
-    CSR lists the kernel takes are read off the mask once, in row-major
-    order.
+    ``pos`` is the (B, P, d) positive block and ``w`` its (B, P) weights.
+    The flat CSR lists the kernel takes are read off the mask once, in
+    row-major order.
     """
-    bsz, n_cands = neg.shape
-    idx = np.broadcast_to(np.arange(n_cands), neg.shape)[neg]
-    pos_off = np.arange(bsz + 1, dtype=np.int64) * (len(w) // bsz)
-    return weighted_nce_csr(q, pos, w, pos_off, cands, idx, _offsets(neg), t)
+    idx = np.broadcast_to(np.arange(neg.shape[1]), neg.shape)[neg]
+    return weighted_nce_csr(q, pos, w, t, cands, idx, _offsets(neg))
 
 
 def _psm_pass(
@@ -263,7 +261,6 @@ def _psm_pass(
     bsz = q1.shape[0]
     members, nb_idx, _, k_eff = query_topk_batch(bank, pos_view, cfg.k)
     p_count = k_eff + 1
-    dim = members.shape[2]
     weights = soft_weights(z1, members, cfg.weight_span)
     weights = apply_weight_strategy(weights, cfg.strategy, k_eff)
 
@@ -274,14 +271,15 @@ def _psm_pass(
     if cfg.use_hard:
         owner = np.tile(np.arange(bsz), 2)
         neg = _pool_mask(cfg, q1, pos_view, cands_hard, owner, rng_pnsm.split("hard"))
-        hard = _masked_nce(q1, pos_view, np.ones(bsz), cands_hard, neg, cfg.t)
+        pos, w = pos_view[:, None], np.ones((bsz, 1))
+        hard = _masked_nce(q1, pos, w, cands_hard, neg, cfg.t)
         hard_value, hard_grad = hard.value, hard.grad_q
         retained += float(hard.neg_counts.mean())
     if cfg.use_soft:
-        cands_soft = members.reshape(bsz * p_count, dim)
+        cands_soft = members.reshape(bsz * p_count, -1)
         owner = np.repeat(np.arange(bsz), p_count)
         neg = _pool_mask(cfg, q1, pos_view, cands_soft, owner, rng_pnsm.split("soft"))
-        soft = _masked_nce(q1, cands_soft, weights.reshape(-1), cands_soft, neg, cfg.t)
+        soft = _masked_nce(q1, members, weights, cands_soft, neg, cfg.t)
         soft_value, soft_grad = soft.value, soft.grad_q
         retained += float(soft.neg_counts.mean())
 
@@ -350,7 +348,7 @@ def _evaluate_baseline_step(
     for v in range(2):
         q, pos = z1[v], z1[1 - v]
         neg = _pool_mask(cfg, q, pos, cands, owner, rng_pnsm.split("pass", v))
-        out = _masked_nce(q, pos, np.ones(bsz), cands, neg, cfg.t)
+        out = _masked_nce(q, pos[:, None], np.ones((bsz, 1)), cands, neg, cfg.t)
         retained = float(out.neg_counts.mean())
         dirs.append(_StepEval(out.value, nan, nan, out.grad_q, retained))
     return _mean_over_directions(dirs, cache)

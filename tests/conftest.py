@@ -63,7 +63,7 @@ def hard_pool(cfg, q_unit, view, other, rng):
     bsz = len(view)
     cands = np.concatenate([other, view])
     neg = _pool_mask(cfg, q_unit, view, cands, np.tile(np.arange(bsz), 2), rng)
-    return lambda q: _masked_nce(q, view, np.ones(bsz), cands, neg, cfg.t)
+    return lambda q: _masked_nce(q, view[:, None], np.ones((bsz, 1)), cands, neg, cfg.t)
 
 
 def soft_pool(cfg, q_unit, members, weights, rng):
@@ -72,4 +72,4 @@ def soft_pool(cfg, q_unit, members, weights, rng):
     cands = members.reshape(bsz * p_count, dim)
     owner = np.repeat(np.arange(bsz), p_count)
     neg = _pool_mask(cfg, q_unit, members[:, 0], cands, owner, rng)
-    return lambda q: _masked_nce(q, cands, weights.reshape(-1), cands, neg, cfg.t)
+    return lambda q: _masked_nce(q, members, weights, cands, neg, cfg.t)

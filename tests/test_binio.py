@@ -115,3 +115,64 @@ def test_checkpoint_layer_count_beyond_file_is_a_format_error(tmp_path):
     path.write_bytes(raw + struct.pack("<Q", 2**62) + b"\0" * 16)
     with pytest.raises(FormatError, match="claims"):
         load_checkpoint(path)
+
+
+def _corrupt_checkpoint(path, fault):
+    """A checkpoint with one impossible value in one tensor."""
+    cfg = NetworkConfig(in_dim=3, encoder=(4, 2), projector=(3,), predictor=(3,))
+    params = init_params(cfg, RngState(3))
+    target, opt = copy_params(params), OptimizerState()
+    opt.buffers["projector.0.gamma"] = np.ones(3)
+    if fault == "online_nan":
+        params.encoder[0].w[1, 2] = np.nan
+    elif fault == "buffer_inf":
+        opt.buffers["projector.0.gamma"][2] = np.inf
+    elif fault == "target_nan":
+        target.predictor[0].b[0] = np.nan
+    elif fault == "run_var":
+        target.encoder[1].run_var[0] = -0.5
+    save_checkpoint(params, opt, target, path)
+
+
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        ("online_nan", "non-finite value in online encoder.0.w"),
+        ("buffer_inf", "non-finite value in buffer projector.0.gamma"),
+        ("target_nan", "non-finite value in target predictor.0.b"),
+        ("run_var", "negative running variance in target encoder.1.run_var"),
+    ],
+)
+def test_checkpoint_with_impossible_tensor_is_a_format_error(tmp_path, fault, message):
+    path = tmp_path / "c.psmc"
+    _corrupt_checkpoint(path, fault)
+    with pytest.raises(FormatError, match=message):
+        load_checkpoint(path)
+
+
+# bn_eps sits at byte 17 and bn_momentum at byte 25, after the batch-norm byte
+@pytest.mark.parametrize(
+    "offset, value",
+    [(17, -1.0), (17, 0.0), (17, np.nan), (17, np.inf), (25, 1.5), (25, -0.1), (25, np.nan)],
+)
+def test_checkpoint_batch_norm_scalars_are_checked(tmp_path, valid_files, offset, value):
+    raw = bytearray(valid_files["checkpoint"])
+    raw[offset : offset + 8] = struct.pack("<d", value)
+    path = tmp_path / "c.psmc"
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match="batch-norm"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("name, offset", [("checkpoint", 16), ("bank", 32)])
+@pytest.mark.parametrize("flag", [2, 7, 255])
+def test_flag_byte_other_than_0_or_1_is_a_format_error(
+    tmp_path, valid_files, name, offset, flag
+):
+    raw = bytearray(valid_files[name])
+    assert raw[offset] == 1  # batch norm on, labels present
+    raw[offset] = flag
+    path = tmp_path / name
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match=f"got {flag}"):
+        FORMATS[name][1](path)

@@ -7,6 +7,7 @@ import pytest
 from psm import cli
 from psm.data import Dataset, load_csv, save_csv, split_dataset
 from psm.memory_bank import MemoryBank, load_bank, query_topk, save_bank
+from psm.network import load_checkpoint, save_checkpoint
 from psm.numerics import RngState, l2_normalize_rows
 from psm.pnsm import MiningConfig, mine_negatives
 
@@ -389,6 +390,26 @@ class TestProbe:
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == "" and "line 6: negative label" in captured.err
+
+    @pytest.mark.parametrize("fault", ["nan_weight", "bn_eps", "bn_flag"])
+    def test_impossible_checkpoint_is_data_error(self, mini_run, tmp_path, capsys, fault):
+        path = tmp_path / "bad.psmc"
+        if fault == "bn_flag":
+            raw = bytearray((mini_run / "checkpoint.psmc").read_bytes())
+            raw[16] = 7  # the batch-norm byte
+            path.write_bytes(bytes(raw))
+        else:
+            params, opt, target = load_checkpoint(mini_run / "checkpoint.psmc")
+            if fault == "nan_weight":
+                params.encoder[0].w[0, 0] = np.nan
+            else:
+                params.config.bn_eps = -1.0
+            save_checkpoint(params, opt, target, path)
+        argv = ["probe", "--checkpoint", str(path), "--synthetic", SYN, "--seed", "3"]
+        code = cli.main(argv + ["--mode", "knn"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
 
     def test_missing_checkpoint_is_data_error(self, tmp_path):
         code = cli.main(

@@ -468,6 +468,31 @@ class TestOptimizer:
         with pytest.raises(ValueError, match="shape"):
             sgd_step(params, grads, OptimizerState(), lr=0.1)
 
+    @pytest.mark.parametrize("fault", ["missing", "shape"])
+    def test_rejected_dict_changes_nothing(self, fault):
+        # the bad gradient is a covered head's last tensor, after every other
+        # tensor of the head (and of the heads before it) has been checked
+        cfg = NetworkConfig(in_dim=4, encoder=(3,), projector=(3,), predictor=(2,))
+        params = init_params(cfg, RngState(0))
+        opt = OptimizerState()
+        sgd_step(params, {k: np.ones_like(t) for k, t in iter_trainable(params)}, opt, 0.1)
+        del opt.buffers["predictor.0.w"]
+        before = copy_params(params)
+        buffers = {key: buf.copy() for key, buf in opt.buffers.items()}
+        grads = {key: np.full_like(t, 0.5) for key, t in iter_trainable(params)}
+        if fault == "missing":
+            del grads["projector.0.beta"]
+        else:
+            grads["predictor.0.beta"] = np.zeros(5)
+        with pytest.raises(ValueError, match=r"missing gradient|shape mismatch"):
+            sgd_step(params, grads, opt, lr=0.1)
+        for (key, a), (_, b) in zip(iter_trainable(params), iter_trainable(before)):
+            np.testing.assert_array_equal(a, b, err_msg=key)
+        assert opt.buffers.keys() == buffers.keys()
+        for key, buf in buffers.items():
+            np.testing.assert_array_equal(opt.buffers[key], buf, err_msg=key)
+        assert opt.step_count == 1
+
 
 class TestSchedule:
     def test_endpoints(self):
@@ -592,9 +617,11 @@ class TestCheckpoint:
         for net in (params, target):  # every tensor distinct, running statistics too
             for head in HEADS:
                 for layer in net.head(head):
-                    for arr in vars(layer).values():
+                    for name, arr in vars(layer).items():
                         if arr is not None:
                             arr += rng.normal(arr.shape)
+                            if name == "run_var":  # a variance below 0 does not load
+                                np.abs(arr, out=arr)
         opt = OptimizerState(step_count=4)
         grads = {key: rng.normal(t.shape) for key, t in iter_trainable(params)}
         sgd_step(params, grads, opt, 0.1)

@@ -195,14 +195,14 @@ def _pool(build, q, *args):
 class TestHardLoss:
     def test_ln2_when_negative_equals_positive(self):
         z2 = np.array([[1.0, 0.0]])
-        out = _masked_nce(z2, z2, np.ones(1), z2, np.ones((1, 1), dtype=bool), 0.5)
+        out = _masked_nce(z2, z2[:, None], np.ones((1, 1)), z2, np.ones((1, 1), dtype=bool), 0.5)
         assert out.value == pytest.approx(np.log(2.0), abs=1e-12)
 
     def test_two_logit_oracle(self):
         # s_pos=1, s_neg=0.4, t=0.5: loss = ln(1 + e^{-1.2})
         z2 = np.array([[1.0, 0.0]])
         neg = _vec_with_sim(0.4)[None, :]
-        out = _masked_nce(z2, z2, np.ones(1), neg, np.ones((1, 1), dtype=bool), 0.5)
+        out = _masked_nce(z2, z2[:, None], np.ones((1, 1)), neg, np.ones((1, 1), dtype=bool), 0.5)
         assert out.value == pytest.approx(np.log1p(np.exp(-1.2)), abs=1e-12)
 
     def test_no_negatives_zero_loss(self):
@@ -220,9 +220,9 @@ class TestHardLoss:
         z2 = l2_normalize_rows(rng.normal((3, 4)))
         cands = l2_normalize_rows(rng.normal((6, 4)))
         neg = np.tile([True, True, False, True, False, True], (3, 1))
-        out = _masked_nce(q, z2, np.ones(3), cands, neg, 0.5)
+        out = _masked_nce(q, z2[:, None], np.ones((3, 1)), cands, neg, 0.5)
         rows = [
-            _masked_nce(q[i : i + 1], z2[i : i + 1], np.ones(1), cands, neg[i : i + 1], 0.5)
+            _masked_nce(q[i : i + 1], z2[i : i + 1, None], np.ones((1, 1)), cands, neg[i : i + 1], 0.5)
             for i in range(3)
         ]
         assert out.value == pytest.approx(np.mean([r.value for r in rows]), abs=1e-12)
@@ -238,8 +238,9 @@ class TestHardLoss:
         q = rng.normal((1, 6))
         z2 = l2_normalize_rows(rng.normal((1, 6)))
         cands = l2_normalize_rows(rng.normal((3, 6)))
-        small = _masked_nce(q, z2, np.ones(1), cands, np.array([[True, True, False]]), 0.5)
-        large = _masked_nce(q, z2, np.ones(1), cands, np.ones((1, 3), dtype=bool), 0.5)
+        pos, w = z2[:, None], np.ones((1, 1))
+        small = _masked_nce(q, pos, w, cands, np.array([[True, True, False]]), 0.5)
+        large = _masked_nce(q, pos, w, cands, np.ones((1, 3), dtype=bool), 0.5)
         assert large.value > small.value
 
 
@@ -348,41 +349,38 @@ class TestFiniteDifferences:
 
 
 def _ragged_instance(seed):
-    """Ragged loss inputs: variable positives and negatives per query."""
+    """Loss inputs: one positive count P (0 to 6) per instance, ragged negatives."""
     rng = RngState(seed)
     nq = 1 + int(rng.integers(1, 7))
     dim = 2 + int(rng.integers(0, 14))
     q = rng.normal((nq, dim))
-    p_counts = [1 + int(rng.integers(0, 4)) for _ in range(nq)]
+    p_count = int(rng.integers(0, 7))
     n_counts = [int(rng.integers(0, 7)) for _ in range(nq)]
-    pos_flat = l2_normalize_rows(rng.normal((sum(p_counts), dim)))
-    w_flat = rng.uniform(sum(p_counts)) + 0.05
-    pos_off = np.concatenate([[0], np.cumsum(p_counts)]).astype(np.int64)
+    pos = l2_normalize_rows(rng.normal((nq * p_count, dim))).reshape(nq, p_count, dim)
+    w = rng.uniform((nq, p_count)) + 0.05
     n_cands = max(sum(n_counts), 1)
     cands = l2_normalize_rows(rng.normal((n_cands, dim)))
     neg_idx = rng.integers(0, n_cands, size=sum(n_counts)).astype(np.int64)
     neg_off = np.concatenate([[0], np.cumsum(n_counts)]).astype(np.int64)
     t = 0.2 + 0.8 * float(rng.uniform())
-    return q, pos_flat, w_flat, pos_off, cands, neg_idx, neg_off, t
+    return q, pos, w, t, cands, neg_idx, neg_off
 
 
-def _reference_nce_loss_grad(q_raw, pos_flat, w_flat, pos_off, cands, neg_idx, neg_off, t):
+def _reference_nce_loss_grad(q_raw, pos_all, w_all, t, cands, neg_idx, neg_off):
     """The weighted NCE one query at a time; the batched kernel must match it."""
     nq = q_raw.shape[0]
+    n_pos = pos_all.shape[1]
     loss = np.zeros(nq, dtype=np.float64)
     grad = np.zeros_like(q_raw)
     for i in range(nq):
         u = q_raw[i]
         nrm = float(np.sqrt(u @ u))
-        if nrm == 0.0:
+        if nrm == 0.0 or n_pos == 0:
             continue
         q = u / nrm
-        ps, pe = pos_off[i], pos_off[i + 1]
         ns, ne = neg_off[i], neg_off[i + 1]
-        if pe == ps:
-            continue
-        pos = pos_flat[ps:pe]
-        w = w_flat[ps:pe]
+        pos = pos_all[i]
+        w = w_all[i]
         idx = neg_idx[ns:ne]
         sp = pos @ q
         sn = cands[idx] @ q if ne > ns else np.empty(0)
@@ -395,10 +393,10 @@ def _reference_nce_loss_grad(q_raw, pos_flat, w_flat, pos_off, cands, neg_idx, n
         loss[i] = float(np.dot(w, lse - sp / t))
         # d(loss)/d(similarity) for every member of the denominator.
         dlds = (wsum / t) * (e / z)
-        dlds[: pe - ps] -= w / t
-        g = dlds[: pe - ps] @ pos
+        dlds[:n_pos] -= w / t
+        g = dlds[:n_pos] @ pos
         if ne > ns:
-            g = g + dlds[pe - ps :] @ cands[idx]
+            g = g + dlds[n_pos:] @ cands[idx]
         grad[i] = (g - (q @ g) * q) / nrm
     return loss, grad
 
@@ -428,7 +426,7 @@ class TestNceLossGrad:
 
     def test_bad_temperature_rejected(self):
         inst = list(_ragged_instance(3))
-        inst[-1] = 0.0
+        inst[3] = 0.0
         with pytest.raises(ValueError):
             nce_loss_grad(*inst)
 
@@ -449,50 +447,45 @@ class TestNceLossGrad:
         assert np.all(loss[[0, *range(2, len(loss))]] != 0.0)
 
     def test_query_without_positives_gets_zero(self):
-        q, pos_flat, w_flat, pos_off, cands, neg_idx, neg_off, t = _ragged_instance(5)
-        # drop query 1's positives, keep its negatives
-        keep = np.r_[0 : pos_off[1], pos_off[2] : pos_off[-1]]
-        counts = np.diff(pos_off)
-        counts[1] = 0
-        pos_off = np.concatenate([[0], np.cumsum(counts)])
-        inst = (q, pos_flat[keep], w_flat[keep], pos_off, cands, neg_idx, neg_off, t)
-        assert neg_off[2] > neg_off[1]
+        q, pos, w, t, cands, neg_idx, neg_off = _ragged_instance(5)
+        # a P = 0 block: every query keeps its negatives but has no positive
+        inst = (q, pos[:, :0], w[:, :0], t, cands, neg_idx, neg_off)
+        assert neg_off[-1] > 0
         loss, grad = _assert_matches_reference(inst)
-        assert loss[1] == 0.0
-        np.testing.assert_array_equal(grad[1], 0.0)
+        np.testing.assert_array_equal(loss, 0.0)
+        np.testing.assert_array_equal(grad, 0.0)
 
     def test_empty_negative_segment_keeps_positive_loss(self):
         q = RngState(13).normal((3, 4))
-        pos_flat = l2_normalize_rows(RngState(14).normal((5, 4)))
-        w_flat = np.array([0.5, 0.25, 0.25, 1.0, 0.7])
-        pos_off = np.array([0, 3, 4, 5])
+        pos = l2_normalize_rows(RngState(14).normal((9, 4))).reshape(3, 3, 4)
+        w = np.array([[0.5, 0.25, 0.25], [1.0, 0.7, 0.3], [0.2, 0.3, 0.5]])
         cands = l2_normalize_rows(RngState(15).normal((4, 4)))
         neg_idx = np.array([0, 1, 1, 3])
         neg_off = np.array([0, 0, 4, 4])  # queries 0 and 2 have no negatives
-        inst = (q, pos_flat, w_flat, pos_off, cands, neg_idx, neg_off, 0.5)
+        inst = (q, pos, w, 0.5, cands, neg_idx, neg_off)
         loss, _ = _assert_matches_reference(inst)
-        # a single positive and no negatives: lse equals its own logit
-        assert loss[2] == pytest.approx(0.0, abs=1e-15)
-        sp = pos_flat[:3] @ (q[0] / np.linalg.norm(q[0])) / 0.5
-        lse = np.log(np.exp(sp).sum())
-        assert loss[0] == pytest.approx(np.dot(w_flat[:3], lse - sp), rel=1e-12)
+        # no negatives: lse spans the query's own positives alone
+        for i in (0, 2):
+            sp = pos[i] @ (q[i] / np.linalg.norm(q[i])) / 0.5
+            lse = np.log(np.exp(sp).sum())
+            assert loss[i] == pytest.approx(np.dot(w[i], lse - sp), rel=1e-12)
 
     def test_no_candidates(self):
-        q, pos_flat, w_flat, pos_off, _, _, _, t = _ragged_instance(6)
-        nq, dim = q.shape
-        no_negatives = np.zeros(nq + 1, dtype=np.int64)
-        inst = (q, pos_flat, w_flat, pos_off, np.zeros((0, dim)), no_negatives[:0],
-                no_negatives, t)
-        loss, _ = _assert_matches_reference(inst)
-        assert np.all(np.isfinite(loss))
+        for seed in (6, 7):  # P = 0 and P = 4
+            q, pos, w, t, _, _, _ = _ragged_instance(seed)
+            nq, dim = q.shape
+            no_negatives = np.zeros(nq + 1, dtype=np.int64)
+            inst = (q, pos, w, t, np.zeros((0, dim)), no_negatives[:0], no_negatives)
+            loss, _ = _assert_matches_reference(inst)
+            assert np.all(np.isfinite(loss))
 
     def test_duplicate_negative_counts_as_a_copy(self):
-        q, pos_flat, w_flat, pos_off, cands, _, _, t = _ragged_instance(9)
+        q, pos, w, t, cands, _, _ = _ragged_instance(9)
         nq = q.shape[0]
         off = np.arange(nq + 1) * 2
         # every query lists candidate 0 twice, or two equal candidates once each
-        twice = nce_loss_grad(q, pos_flat, w_flat, pos_off, cands, np.zeros(2 * nq), off, t)
+        twice = nce_loss_grad(q, pos, w, t, cands, np.zeros(2 * nq), off)
         copies = np.vstack([cands[:1], cands[:1]])
-        once = nce_loss_grad(q, pos_flat, w_flat, pos_off, copies, np.tile([0, 1], nq), off, t)
+        once = nce_loss_grad(q, pos, w, t, copies, np.tile([0, 1], nq), off)
         for a, b in zip(twice, once):
             np.testing.assert_allclose(a, b, rtol=1e-13, atol=1e-15)

@@ -285,11 +285,9 @@ class TestPoolLayout:
             calls.append(("filter", (sims_flat, off), out[1]))
             return out
 
-        def nce_rec(q1, pos_flat, w_flat, pos_off, cands, neg_idx, neg_off, t):
-            calls.append(("nce", (q1, cands, neg_idx, neg_off), None))
-            return ppsm.weighted_nce_csr(
-                q1, pos_flat, w_flat, pos_off, cands, neg_idx, neg_off, t
-            )
+        def nce_rec(q1, pos, w, t, cands, neg_idx, neg_off):
+            calls.append(("nce", (q1, cands, neg_idx, neg_off), (pos, w)))
+            return ppsm.weighted_nce_csr(q1, pos, w, t, cands, neg_idx, neg_off)
 
         monkeypatch.setattr(trainer, "filter_csr", filter_rec)
         monkeypatch.setattr(trainer, "weighted_nce_csr", nce_rec)
@@ -302,13 +300,19 @@ class TestPoolLayout:
             if mining:
                 kind, (sims_flat, filter_off), keep = calls.pop(0)
                 assert kind == "filter"
-            kind, (q, cands, neg_idx, neg_off), _ = calls.pop(0)
+            kind, (q, cands, neg_idx, neg_off), (pos, w) = calls.pop(0)
             assert kind == "nce"
             bsz, n_cands = q.shape[0], cands.shape[0]
             if n_cands == 2 * bsz:
                 idx, off = _hard_csr(bsz)
+                p_count = 1  # the other view alone, weight 1
+                np.testing.assert_array_equal(w, 1.0)
             else:
-                idx, off = _soft_csr(bsz, n_cands // bsz)
+                p_count = n_cands // bsz  # every member of the query
+                idx, off = _soft_csr(bsz, p_count)
+                np.testing.assert_array_equal(pos.reshape(n_cands, -1), cands)
+            assert pos.shape == (bsz, p_count, cands.shape[1])
+            assert w.shape == (bsz, p_count)
             if mining:
                 sims = np.clip(q @ cands.T, -1.0, 1.0)
                 rows = np.repeat(np.arange(bsz), np.diff(off))
@@ -525,7 +529,7 @@ class TestOnePassPerStep:
         losses, retained, grads = [], [], []
         for v, (q, pos, cache) in enumerate(((za, zb, cache_a), (zb, za, cache_b))):
             neg = _pool_mask(cfg, q, pos, cands, owner, rng_pnsm.split("pass", v))
-            out = _masked_nce(q, pos, np.ones(13), cands, neg, cfg.t)
+            out = _masked_nce(q, pos[:, None], np.ones((13, 1)), cands, neg, cfg.t)
             losses.append(out.value)
             retained.append(float(out.neg_counts.mean()))
             grads.append(backward(ref_params, cache, 0.5 * out.grad_q))

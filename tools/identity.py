@@ -1,0 +1,212 @@
+"""Compare a fixed matrix of CLI outputs between the working tree and a revision.
+
+    python3 tools/identity.py --against HEAD~1 [--full]
+
+REV is unpacked with ``git archive`` into a temporary directory. Both trees
+then run the same ``psm`` calls, each in its own process with BLAS pinned to
+one thread, at most two at a time:
+
+* 4-epoch ``c4,d32,n128,sep2`` pretrain runs: plain, ``--baseline``,
+  ``--baseline --no-pnsm``, ``--symmetrize``, ``--no-soft``,
+  ``--strategy V2`` and a config with ``{"bn": false}``;
+* ``probe`` (knn, linear) and ``diagnose`` (purity, gradients) on the plain
+  and ``--baseline`` checkpoints;
+* with ``--full``, the 100-epoch reference run
+  (``c4,d32,n512,sep6 --epochs 100 --seed 7``).
+
+Every output file, and the standard output of every call with its run
+directory masked, is compared byte for byte. For each file the tool prints
+"identical"; otherwise, for a CSV, the largest absolute difference per
+column that differs, for a JSON file, the largest absolute difference per
+numeric leaf that differs, and for any other file, the count of differing
+bytes. The exit code is 0 when every file is identical and 1 otherwise.
+The tool is a development aid; no test runs it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import csv
+import io
+import json
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SIDES = ("parent", "change")
+SMALL_DATA = ["--synthetic", "c4,d32,n128,sep2", "--seed", "3"]
+SMALL = [*SMALL_DATA, "--epochs", "4", "--warmup", "1"]
+RUNS = {
+    "plain": SMALL,
+    "baseline": [*SMALL, "--baseline"],
+    "baseline_nopnsm": [*SMALL, "--baseline", "--no-pnsm"],
+    "sym": [*SMALL, "--symmetrize"],
+    "nosoft": [*SMALL, "--no-soft"],
+    "v2": [*SMALL, "--strategy", "V2"],
+    "nobn": [*SMALL, "--config", "{nobn}"],
+}
+FULL_RUNS = {"ref": ["--synthetic", "c4,d32,n512,sep6", "--epochs", "100", "--seed", "7"]}
+READ_FROM = ("plain", "baseline")
+READS = {
+    "probe_knn": ["probe", "--mode", "knn"],
+    "probe_linear": ["probe", "--mode", "linear"],
+    "diagnose_purity": ["diagnose", "--what", "purity", "--out", "{dir}/diag"],
+    "diagnose_gradients": ["diagnose", "--what", "gradients", "--out", "{dir}/diag"],
+}
+ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+
+
+def unpack(rev: str, dest: Path) -> None:
+    """Write the tree of ``rev`` into ``dest``."""
+    tar = subprocess.run(
+        ["git", "-C", str(ROOT), "archive", "--format=tar", rev],
+        check=True, capture_output=True,
+    ).stdout
+    with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
+        archive.extractall(dest, filter="data")
+
+
+def psm(tree: Path, out: Path, name: str, argv: list[str]) -> None:
+    """Run one ``psm`` call from ``tree``; keep its stdout with ``out`` masked."""
+    out.mkdir(parents=True, exist_ok=True)
+    env = {**os.environ, **ENV, "PYTHONPATH": str(tree / "src")}
+    argv = [a.format(dir=out, nobn=out.parent / "nobn.json") for a in argv]
+    proc = subprocess.run(
+        [sys.executable, "-m", "psm.cli", *argv], cwd=out, env=env,
+        capture_output=True, text=True,
+    )
+    text = proc.stdout.replace(str(out), "<RUN>") + f"exit {proc.returncode}\n"
+    (out / f"{name}.stdout").write_text(text)
+    if proc.returncode:
+        sys.stderr.write(f"{out}: {' '.join(argv)}: exit {proc.returncode}\n{proc.stderr}")
+
+
+def run_matrix(trees: dict[str, Path], work: Path, full: bool) -> None:
+    runs = {**RUNS, **(FULL_RUNS if full else {})}
+    for side in SIDES:
+        (work / side).mkdir(parents=True)
+        (work / side / "nobn.json").write_text(json.dumps({"bn": False}))
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        jobs = [
+            pool.submit(psm, trees[side], work / side / name, "pretrain",
+                        ["pretrain", *argv, "--out", str(work / side / name / "run")])
+            for name, argv in runs.items() for side in SIDES
+        ]
+        for job in jobs:
+            job.result()
+        jobs = [
+            pool.submit(
+                psm, trees[side], work / side / f"{run}_read", read,
+                [*argv, "--checkpoint", str(work / side / run / "run" / "checkpoint.psmc"),
+                 *SMALL_DATA],
+            )
+            for run in READ_FROM for read, argv in READS.items() for side in SIDES
+        ]
+        for job in jobs:
+            job.result()
+
+
+def _worst(diffs: dict[str, list], key: str, a, b) -> bool:
+    """Track the largest |a - b| and the count of differing values under ``key``.
+
+    Returns whether a and b are both numbers or else equal text.
+    """
+    try:
+        x, y = float(a), float(b)
+    except (TypeError, ValueError):
+        return a == b
+    if x != y:
+        worst = diffs.setdefault(key, [0.0, 0])
+        worst[0] = max(worst[0], abs(x - y))
+        worst[1] += 1
+    return True
+
+
+
+
+def csv_diff(a: bytes, b: bytes) -> str:
+    ra = list(csv.reader(io.StringIO(a.decode())))
+    rb = list(csv.reader(io.StringIO(b.decode())))
+    if len(ra) != len(rb) or ra[:1] != rb[:1]:
+        return f"header or row count differs ({len(ra)} against {len(rb)} rows)"
+    diffs: dict[str, list] = {}
+    for row_a, row_b in zip(ra[1:], rb[1:]):
+        for col, x, y in zip(ra[0], row_a, row_b):
+            if not _worst(diffs, col, x, y):
+                return f"text differs in column {col}"
+    return ", ".join(f"{col} {d:.3g} in {n} rows" for col, (d, n) in diffs.items())
+
+
+def _leaves(obj, path=""):
+    if isinstance(obj, dict):
+        for key, val in obj.items():
+            yield from _leaves(val, f"{path}.{key}" if path else key)
+    else:
+        yield path, obj
+
+
+def json_diff(a: bytes, b: bytes) -> str:
+    la, lb = dict(_leaves(json.loads(a))), dict(_leaves(json.loads(b)))
+    if la.keys() != lb.keys():
+        return "keys differ"
+    diffs: dict[str, list] = {}
+    for key in la:
+        if not _worst(diffs, key, la[key], lb[key]):
+            return f"value differs at {key}"
+    return ", ".join(f"{key} {d:.3g}" for key, (d, _) in diffs.items())
+
+
+def byte_diff(a: bytes, b: bytes) -> str:
+    if len(a) != len(b):
+        return f"sizes differ: {len(a)} against {len(b)} bytes"
+    return f"{sum(x != y for x, y in zip(a, b))} of {len(a)} bytes differ"
+
+
+def compare(work: Path) -> dict[str, str]:
+    """Map each output path to "identical" or a description of the difference."""
+    files = sorted(
+        {p.relative_to(work / side) for side in SIDES for p in (work / side).rglob("*")
+         if p.is_file()}
+    )
+    report = {}
+    for rel in files:
+        a, b = (work / side / rel for side in SIDES)
+        if not (a.is_file() and b.is_file()):
+            report[str(rel)] = f"only in {'parent' if a.is_file() else 'change'}"
+            continue
+        da, db = a.read_bytes(), b.read_bytes()
+        if da == db:
+            report[str(rel)] = "identical"
+        elif rel.suffix == ".csv":
+            report[str(rel)] = csv_diff(da, db)
+        elif rel.suffix == ".json":
+            report[str(rel)] = json_diff(da, db)
+        else:
+            report[str(rel)] = byte_diff(da, db)
+    return report
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--against", required=True, metavar="REV", help="git revision")
+    ap.add_argument("--full", action="store_true", help="add the 100-epoch reference run")
+    args = ap.parse_args(argv)
+    with tempfile.TemporaryDirectory(prefix="psm-identity-") as tmp:
+        tmp = Path(tmp)
+        unpack(args.against, tmp / "tree")
+        run_matrix({"parent": tmp / "tree", "change": ROOT}, tmp / "out", args.full)
+        report = compare(tmp / "out")
+    for rel, verdict in report.items():
+        print(f"{rel}: {verdict}")
+    same = sum(v == "identical" for v in report.values())
+    print(f"{same} of {len(report)} files identical")
+    return 0 if same == len(report) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
