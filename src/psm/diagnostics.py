@@ -18,9 +18,11 @@ from numpy.typing import NDArray
 
 from .numerics import check_unit_rows, top_k_indices
 
-# Test rows per block of knn_probe's top-k selection and vote, which bounds
-# the selection's scratch arrays whatever the test-set size. The block size
-# does not change any answer: it splits only the selection, not the product.
+# Query rows per block of knn_probe and gradient_profile. The block splits
+# the similarity product as well as the selection, so a call holds one
+# (32, n) slice of similarities whatever the number of queries. BLAS may
+# round a row in the last bit otherwise in a product of another shape, so
+# a new block size can move an output in its last digit.
 _KNN_BLOCK = 32
 
 
@@ -100,16 +102,22 @@ def gradient_profile(
         raise ValueError("queries and positives must align")
     check_unit_rows(queries, "queries")
     check_unit_rows(positives, "positives")
-    sims = queries @ bank.T
-    np.clip(sims, -1.0, 1.0, out=sims)
-    ranked = -np.sort(np.partition(-sims, rank_depth - 1, axis=1)[:, :rank_depth], axis=1)
+    s_pos = np.einsum("ij,ij->i", queries, positives)
+    ranked = np.empty((len(queries), rank_depth))
+    pos_rank = np.empty(len(queries))
+    for start in range(0, len(queries), _KNN_BLOCK):
+        block = slice(start, start + _KNN_BLOCK)
+        sims = queries[block] @ bank.T
+        np.clip(sims, -1.0, 1.0, out=sims)
+        pos_rank[block] = 1.0 + (sims > s_pos[block, None]).sum(axis=1)
+        np.negative(sims, out=sims)
+        sims.partition(rank_depth - 1, axis=1)
+        ranked[block] = -np.sort(sims[:, :rank_depth], axis=1)
     # statistic per (query, rank): |coefficient| * ||d s / d q|| with the
     # derivative of a dot product against a unit bank row having norm 1
     stats = bce_gradient_coefficient((ranked + 1.0) / 2.0)
     mean_curve = stats.mean(axis=0)
     var_curve = stats.var(axis=0)
-    s_pos = np.einsum("ij,ij->i", queries, positives)
-    pos_rank = 1.0 + (sims > s_pos[:, None]).sum(axis=1)
     return GradientProfile(
         mean_norm=_normalize_curve(mean_curve),
         var_norm=_normalize_curve(var_curve),
@@ -141,13 +149,10 @@ def knn_probe(
         raise ValueError("kNN probe labels must be nonnegative")
     k = min(k_nn, train_emb.shape[0])
     n_classes = int(train_labels.max()) + 1
-    # One product for all rows: BLAS may round a row differently when it is
-    # multiplied in a smaller block, which could move a neighbour at a tie.
-    sims = test_emb @ train_emb.T
     correct = 0
     for start in range(0, test_emb.shape[0], _KNN_BLOCK):
         block = slice(start, start + _KNN_BLOCK)
-        votes = train_labels[top_k_indices(sims[block], k)]
+        votes = train_labels[top_k_indices(test_emb[block] @ train_emb.T, k)]
         rows = votes.shape[0]
         # per-row label counts via one bincount over (row, label) cells;
         # argmax takes the first maximum, so vote ties go to the smallest label

@@ -563,6 +563,17 @@ def load_checkpoint(
             total_epochs=_binio.read_u64(fh),
             step_count=_binio.read_u64(fh),
         )
+        # TrainConfig.validate's rules for the values the optimizer came from
+        if not 0.0 <= mom < 1.0:
+            raise _binio.FormatError(f"SGD momentum {mom} outside [0, 1)")
+        for name, value in (("weight decay", wd), ("base_lr", base), ("peak_lr", peak),
+                            ("floor_lr", floor)):
+            if not 0.0 <= value < math.inf:
+                raise _binio.FormatError(f"{name} {value} is not finite and nonnegative")
+        if opt.warmup_epochs > opt.total_epochs:
+            raise _binio.FormatError(
+                f"warmup of {opt.warmup_epochs} epochs exceeds {opt.total_epochs} total epochs"
+            )
 
         def read(head, li, name, shape, section="online"):
             arr = _binio.read_f64_array(fh, shape)

@@ -150,6 +150,51 @@ def test_checkpoint_with_impossible_tensor_is_a_format_error(tmp_path, fault, me
         load_checkpoint(path)
 
 
+def _checkpoint_with_optimizer(path, **fields):
+    cfg = NetworkConfig(in_dim=3, encoder=(4, 2), projector=(3,), predictor=(3,))
+    params = init_params(cfg, RngState(3))
+    save_checkpoint(params, OptimizerState(**fields), copy_params(params), path)
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"momentum": np.nan}, "SGD momentum nan"),
+        ({"momentum": 1.0}, "SGD momentum 1.0"),
+        ({"momentum": -0.1}, "SGD momentum -0.1"),
+        ({"weight_decay": -0.001}, "weight decay -0.001"),
+        ({"weight_decay": np.inf}, "weight decay inf"),
+        ({"base_lr": np.nan}, "base_lr nan"),
+        ({"peak_lr": -5.0}, "peak_lr -5.0"),
+        ({"floor_lr": np.inf}, "floor_lr inf"),
+        ({"warmup_epochs": 9, "total_epochs": 2}, "warmup of 9 epochs exceeds 2"),
+        (
+            {"momentum": np.nan, "peak_lr": -5.0, "warmup_epochs": 9, "total_epochs": 2},
+            "SGD momentum nan",
+        ),
+    ],
+    ids=[
+        "momentum_nan", "momentum_1", "momentum_negative", "weight_decay_negative",
+        "weight_decay_inf", "base_lr_nan", "peak_lr_negative", "floor_lr_inf",
+        "warmup_beyond_total", "all_four_faults",
+    ],
+)
+def test_checkpoint_optimizer_scalars_are_checked(tmp_path, fields, message):
+    path = tmp_path / "c.psmc"
+    _checkpoint_with_optimizer(path, **fields)
+    with pytest.raises(FormatError, match=message):
+        load_checkpoint(path)
+
+
+def test_checkpoint_optimizer_scalars_at_their_limits_load(tmp_path):
+    path = tmp_path / "c.psmc"
+    limits = {"momentum": 0.0, "weight_decay": 0.0, "base_lr": 0.0, "peak_lr": 0.0,
+              "floor_lr": 0.0, "warmup_epochs": 5, "total_epochs": 5}
+    _checkpoint_with_optimizer(path, **limits)
+    _, opt, _ = load_checkpoint(path)
+    assert {key: getattr(opt, key) for key in limits} == limits
+
+
 # bn_eps sits at byte 17 and bn_momentum at byte 25, after the batch-norm byte
 @pytest.mark.parametrize(
     "offset, value",

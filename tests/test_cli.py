@@ -391,7 +391,7 @@ class TestProbe:
         assert code == 2
         assert captured.out == "" and "line 6: negative label" in captured.err
 
-    @pytest.mark.parametrize("fault", ["nan_weight", "bn_eps", "bn_flag"])
+    @pytest.mark.parametrize("fault", ["nan_weight", "bn_eps", "bn_flag", "optimizer"])
     def test_impossible_checkpoint_is_data_error(self, mini_run, tmp_path, capsys, fault):
         path = tmp_path / "bad.psmc"
         if fault == "bn_flag":
@@ -402,8 +402,11 @@ class TestProbe:
             params, opt, target = load_checkpoint(mini_run / "checkpoint.psmc")
             if fault == "nan_weight":
                 params.encoder[0].w[0, 0] = np.nan
-            else:
+            elif fault == "bn_eps":
                 params.config.bn_eps = -1.0
+            else:
+                opt.momentum, opt.peak_lr = np.nan, -5.0
+                opt.warmup_epochs, opt.total_epochs = 9, 2
             save_checkpoint(params, opt, target, path)
         argv = ["probe", "--checkpoint", str(path), "--synthetic", SYN, "--seed", "3"]
         code = cli.main(argv + ["--mode", "knn"])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,37 @@ from psm.diagnostics import (
     write_purity_csv,
 )
 from psm.numerics import RngState, l2_normalize_rows
+
+
+def _half_rows(rng, n, dim):
+    """Unit rows of four entries +-1/2 at random places, zeros elsewhere.
+
+    Every dot product of two such rows is a multiple of 1/4 and exact, so a
+    product formed in any block shape equals the whole product bit for bit.
+    """
+    rows = np.zeros((n, dim))
+    for row in rows:
+        row[rng.permutation(dim)[:4]] = rng.choice([-0.5, 0.5], size=4)
+    return rows
+
+
+def _exact_sets(seed, n_train=90, n_test=100, dim=6):
+    """Train rows with duplicates (so neighbours tie), test rows and labels."""
+    rng = np.random.default_rng(seed)
+    distinct = _half_rows(rng, n_train // 3, dim)
+    train = distinct[rng.integers(0, len(distinct), size=n_train)]
+    test = _half_rows(rng, n_test, dim)
+    positives = _half_rows(rng, n_test, dim)
+    return train, rng.integers(0, 3, size=n_train), test, rng.integers(0, 3, size=n_test), positives
+
+
+def _peak_traced_bytes(fn, *args, **kwargs):
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def _reference_purity(mined_labels, query_labels):
@@ -108,6 +141,31 @@ class TestGradientProfile:
             profile.var_norm, stats.var(axis=0) / stats.var(axis=0).max()
         )
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_blocked_equals_whole_product(self, seed):
+        # 100 queries: three full blocks of 32 and one of 4
+        bank, _, q, _, p = _exact_sets(seed)
+        profile = gradient_profile(q, p, bank, rank_depth=40)
+        sims = q @ bank.T
+        ranked = -np.sort(-sims, axis=1)[:, :40]
+        stats = (ranked + 1.0) / 2.0
+        np.testing.assert_array_equal(
+            profile.mean_norm, stats.mean(axis=0) / stats.mean(axis=0).max()
+        )
+        np.testing.assert_array_equal(
+            profile.var_norm, stats.var(axis=0) / stats.var(axis=0).max()
+        )
+        s_pos = np.einsum("ij,ij->i", q, p)
+        want = float((1.0 + (sims > s_pos[:, None]).sum(axis=1)).mean())
+        assert profile.mean_positive_rank == want
+
+    def test_memory_is_one_block_of_similarities(self):
+        rng = np.random.default_rng(4)
+        bank = l2_normalize_rows(rng.normal(size=(3000, 16)))
+        q = l2_normalize_rows(rng.normal(size=(400, 16)))
+        peak = _peak_traced_bytes(gradient_profile, q, q, bank, rank_depth=50)
+        assert peak < 400 * 3000 * 8 / 4
+
     def test_bank_must_cover_rank_depth(self):
         bank = np.array([[1.0, 0.0], [0.0, 1.0]])
         q = np.array([[1.0, 0.0]])
@@ -178,6 +236,30 @@ class TestKnnProbe:
             got = knn_probe(train, labels, test, test_labels, k_nn=k_nn)
             assert got == correct / len(test)
         assert vote_ties > 0
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_blocked_equals_whole_product(self, seed):
+        # 100 test rows: three full blocks of 32 and one of 4
+        train, labels, test, test_labels, _ = _exact_sets(seed)
+        sims = test @ train.T
+        ties = 0
+        for k_nn in (1, 5, 20, 90):
+            nn = np.argsort(-sims, axis=1, kind="stable")[:, :k_nn]
+            counts = np.stack([(labels[nn] == c).sum(axis=1) for c in range(3)], axis=1)
+            want = int((counts.argmax(axis=1) == test_labels).sum()) / len(test)
+            assert knn_probe(train, labels, test, test_labels, k_nn=k_nn) == want
+            # rows whose k-th neighbour ties with a row left out
+            kth = np.take_along_axis(sims, nn[:, -1:], axis=1)
+            ties += int(((sims >= kth).sum(axis=1) > k_nn).sum())
+        assert ties > 0
+
+    def test_memory_is_one_block_of_similarities(self):
+        rng = np.random.default_rng(5)
+        train = l2_normalize_rows(rng.normal(size=(3000, 16)))
+        test = l2_normalize_rows(rng.normal(size=(400, 16)))
+        labels = rng.integers(0, 10, size=3000)
+        peak = _peak_traced_bytes(knn_probe, train, labels, test, labels[:400], k_nn=20)
+        assert peak < 400 * 3000 * 8 / 4
 
     def test_negative_labels_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):

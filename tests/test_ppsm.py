@@ -347,6 +347,19 @@ class TestFiniteDifferences:
         fd = _fd_grad(lambda qq: loss(qq).value, q)
         np.testing.assert_allclose(loss(q).grad_q, fd, rtol=0, atol=1e-7)
 
+    def test_soft_loss_gradient_with_unnormalized_weights(self):
+        # V3-style 0/1 weights and one row summing to 2.5: the gradient's
+        # denominator term scales with each row's weight sum, which
+        # simplex weights (sum 1) cannot show
+        rng = RngState(13)
+        q = rng.normal((3, 5))
+        members = np.stack([l2_normalize_rows(rng.normal((4, 5))) for _ in range(3)])
+        weights = np.array([[1.0, 1.0, 0.0, 1.0], [1.0, 0.0, 0.0, 0.0], [1.0, 0.5, 1.0, 0.0]])
+        cfg = TrainConfig(t=0.5, a=2.0)
+        loss = soft_pool(cfg, l2_normalize_rows(q), members, weights, rng.split("mine"))
+        fd = _fd_grad(lambda qq: loss(qq).value, q)
+        np.testing.assert_allclose(loss(q).grad_q, fd, rtol=0, atol=1e-7)
+
 
 def _ragged_instance(seed):
     """Loss inputs: one positive count P (0 to 6) per instance, ragged negatives."""

@@ -9,8 +9,17 @@ one thread, at most two at a time:
 * 4-epoch ``c4,d32,n128,sep2`` pretrain runs: plain, ``--baseline``,
   ``--baseline --no-pnsm``, ``--symmetrize``, ``--no-soft``,
   ``--strategy V2`` and a config with ``{"bn": false}``;
+* odd shapes: 4-epoch ``c3,d13,n200,sep2 --batch 13`` runs with encoder
+  widths 19/37 and projector and predictor widths 19/13, plain and
+  ``--baseline``;
 * ``probe`` (knn, linear) and ``diagnose`` (purity, gradients) on the plain
-  and ``--baseline`` checkpoints;
+  and ``--baseline`` checkpoints of both data shapes, and on the plain odd
+  checkpoint with ``c3,d13,n172,sep2`` data, whose 129 test rows leave a
+  lone row after four 32-row evaluation blocks;
+* one round of psmbench's ``analyse`` workload at seeds 101, 102 and 103,
+  imported from each tree's ``psmbench/`` without writing into it: its
+  inputs (checkpoint, bank, query CSV), its ``diagnose`` files and the
+  standard output of its six calls;
 * with ``--full``, the 100-epoch reference run
   (``c4,d32,n512,sep6 --epochs 100 --seed 7``).
 
@@ -41,6 +50,12 @@ ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 SMALL_DATA = ["--synthetic", "c4,d32,n128,sep2", "--seed", "3"]
 SMALL = [*SMALL_DATA, "--epochs", "4", "--warmup", "1"]
+ODD_DATA = ["--synthetic", "c3,d13,n200,sep2", "--seed", "3"]
+ODD = [*ODD_DATA, "--epochs", "4", "--warmup", "1", "--batch", "13", "--config", "{odd}"]
+CONFIGS = {
+    "nobn": {"bn": False},
+    "odd": {"encoder": [19, 37], "projector": [19, 13], "predictor": [19, 13]},
+}
 RUNS = {
     "plain": SMALL,
     "baseline": [*SMALL, "--baseline"],
@@ -49,9 +64,18 @@ RUNS = {
     "nosoft": [*SMALL, "--no-soft"],
     "v2": [*SMALL, "--strategy", "V2"],
     "nobn": [*SMALL, "--config", "{nobn}"],
+    "odd": ODD,
+    "odd_baseline": [*ODD, "--baseline"],
 }
 FULL_RUNS = {"ref": ["--synthetic", "c4,d32,n512,sep6", "--epochs", "100", "--seed", "7"]}
-READ_FROM = ("plain", "baseline")
+# read name: (run whose checkpoint is read, data arguments)
+READ_FROM = {
+    "plain": ("plain", SMALL_DATA),
+    "baseline": ("baseline", SMALL_DATA),
+    "odd": ("odd", ODD_DATA),
+    "odd_baseline": ("odd_baseline", ODD_DATA),
+    "odd_lone_row": ("odd", ["--synthetic", "c3,d13,n172,sep2", "--seed", "3"]),
+}
 READS = {
     "probe_knn": ["probe", "--mode", "knn"],
     "probe_linear": ["probe", "--mode", "linear"],
@@ -59,6 +83,24 @@ READS = {
     "diagnose_gradients": ["diagnose", "--what", "gradients", "--out", "{dir}/diag"],
 }
 ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+ANALYSE_SEEDS = (101, 102, 103)
+# One analyse round in a fresh interpreter: argv is the tree, the seed and
+# the output directory. Bytecode is not written, so the tree stays as it is.
+ANALYSE = '''
+import sys
+from pathlib import Path
+sys.dont_write_bytecode = True
+tree, seed, out = Path(sys.argv[1]), int(sys.argv[2]), Path(sys.argv[3])
+sys.path[:0] = [str(tree / "psmbench"), str(tree / "src")]
+import workloads
+workload = workloads.make("analyse")
+workload.setup(seed, out)
+outcome = workload.run_round(lambda _name, fn, argv: fn(argv))
+workload.settle(outcome, first=True)
+for name, text in outcome.output[1].items():
+    (out / f"{name}.stdout").write_text(text.replace(str(out), "<RUN>"))
+print(f"failed calls: {outcome.failed}", outcome.error, sep="\\n")
+'''
 
 
 def unpack(rev: str, dest: Path) -> None:
@@ -75,7 +117,8 @@ def psm(tree: Path, out: Path, name: str, argv: list[str]) -> None:
     """Run one ``psm`` call from ``tree``; keep its stdout with ``out`` masked."""
     out.mkdir(parents=True, exist_ok=True)
     env = {**os.environ, **ENV, "PYTHONPATH": str(tree / "src")}
-    argv = [a.format(dir=out, nobn=out.parent / "nobn.json") for a in argv]
+    configs = {name: out.parent / f"{name}.json" for name in CONFIGS}
+    argv = [a.format(dir=out, **configs) for a in argv]
     proc = subprocess.run(
         [sys.executable, "-m", "psm.cli", *argv], cwd=out, env=env,
         capture_output=True, text=True,
@@ -86,26 +129,43 @@ def psm(tree: Path, out: Path, name: str, argv: list[str]) -> None:
         sys.stderr.write(f"{out}: {' '.join(argv)}: exit {proc.returncode}\n{proc.stderr}")
 
 
+def analyse(tree: Path, seed: int, out: Path) -> None:
+    """Run one psmbench analyse round of ``tree`` at ``seed`` into ``out``."""
+    out.mkdir(parents=True)
+    proc = subprocess.run(
+        [sys.executable, "-c", ANALYSE, str(tree), str(seed), str(out)],
+        cwd=out, env={**os.environ, **ENV}, capture_output=True, text=True,
+    )
+    (out / "round.stdout").write_text(proc.stdout + f"exit {proc.returncode}\n")
+    if proc.returncode:
+        sys.stderr.write(f"{out}: analyse seed {seed}: exit {proc.returncode}\n{proc.stderr}")
+
+
 def run_matrix(trees: dict[str, Path], work: Path, full: bool) -> None:
     runs = {**RUNS, **(FULL_RUNS if full else {})}
     for side in SIDES:
         (work / side).mkdir(parents=True)
-        (work / side / "nobn.json").write_text(json.dumps({"bn": False}))
+        for name, config in CONFIGS.items():
+            (work / side / f"{name}.json").write_text(json.dumps(config))
     with ThreadPoolExecutor(max_workers=2) as pool:
         jobs = [
             pool.submit(psm, trees[side], work / side / name, "pretrain",
                         ["pretrain", *argv, "--out", str(work / side / name / "run")])
             for name, argv in runs.items() for side in SIDES
+        ] + [
+            pool.submit(analyse, trees[side], seed, work / side / f"analyse_{seed}")
+            for seed in ANALYSE_SEEDS for side in SIDES
         ]
         for job in jobs:
             job.result()
         jobs = [
             pool.submit(
-                psm, trees[side], work / side / f"{run}_read", read,
+                psm, trees[side], work / side / f"{name}_read", read,
                 [*argv, "--checkpoint", str(work / side / run / "run" / "checkpoint.psmc"),
-                 *SMALL_DATA],
+                 *data],
             )
-            for run in READ_FROM for read, argv in READS.items() for side in SIDES
+            for name, (run, data) in READ_FROM.items() for read, argv in READS.items()
+            for side in SIDES
         ]
         for job in jobs:
             job.result()
