@@ -102,33 +102,10 @@ def _config_from_args(args) -> TrainConfig:
             raise ValueError("config file must hold a JSON object")
         values.update(loaded)
 
-    overrides = {
-        "k": args.k,
-        "a": args.a,
-        "lam": args.lam,
-        "t": args.t,
-        "batch_size": args.batch,
-        "epochs": args.epochs,
-        "warmup_epochs": args.warmup,
-        "strategy": args.strategy,
-        "seed": args.seed,
-        "probe_every": args.probe_every,
-        "bank_capacity": args.bank,
-        "weight_span": args.span,
-    }
-    for key, val in overrides.items():
-        if val is not None:
-            values[key] = val
-    if args.no_pnsm:
-        values["use_pnsm"] = False
-    if args.no_soft:
-        values["use_soft"] = False
-    if args.no_hard:
-        values["use_hard"] = False
-    if args.baseline:
-        values["baseline"] = True
-    if args.symmetrize:
-        values["symmetrize"] = True
+    for f in dataclasses.fields(TrainConfig):  # every flag's dest is its field
+        value = getattr(args, f.name, None)
+        if value is not None:
+            values[f.name] = value
 
     aug_kwargs = {}
     for key in _AUG_KEYS:
@@ -377,18 +354,21 @@ def build_parser() -> _Parser:
     p.add_argument("--a", type=float)
     p.add_argument("--lambda", dest="lam", type=float)
     p.add_argument("--t", type=float)
-    p.add_argument("--batch", type=int)
+    p.add_argument("--batch", dest="batch_size", metavar="BATCH", type=int)
     p.add_argument("--epochs", type=int)
-    p.add_argument("--warmup", type=int, help="warmup epochs (defaults to 20)")
-    p.add_argument("--bank", type=int)
+    p.add_argument(
+        "--warmup", dest="warmup_epochs", metavar="WARMUP", type=int,
+        help="warmup epochs (defaults to 20)",
+    )
+    p.add_argument("--bank", dest="bank_capacity", metavar="BANK", type=int)
     p.add_argument("--probe-every", dest="probe_every", type=int)
     p.add_argument("--strategy", choices=["V0", "V1", "V2", "V3", "V4"])
-    p.add_argument("--span", choices=["with_view", "mined_only"])
-    p.add_argument("--no-pnsm", action="store_true")
-    p.add_argument("--no-soft", action="store_true")
-    p.add_argument("--no-hard", action="store_true")
-    p.add_argument("--baseline", action="store_true")
-    p.add_argument("--symmetrize", action="store_true")
+    p.add_argument("--span", dest="weight_span", choices=["with_view", "mined_only"])
+    p.add_argument("--no-pnsm", dest="use_pnsm", action="store_const", const=False)
+    p.add_argument("--no-soft", dest="use_soft", action="store_const", const=False)
+    p.add_argument("--no-hard", dest="use_hard", action="store_const", const=False)
+    p.add_argument("--baseline", action="store_const", const=True)
+    p.add_argument("--symmetrize", action="store_const", const=True)
     p.set_defaults(func=cmd_pretrain)
 
     p = sub.add_parser("probe", help="score a checkpoint's embeddings")

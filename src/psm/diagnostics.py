@@ -100,6 +100,8 @@ def gradient_profile(
     positives = np.atleast_2d(np.asarray(positives, dtype=np.float64))
     if positives.shape != queries.shape:
         raise ValueError("queries and positives must align")
+    if len(queries) == 0:
+        raise ValueError("gradient profile needs at least one query")
     check_unit_rows(queries, "queries")
     check_unit_rows(positives, "positives")
     s_pos = np.einsum("ij,ij->i", queries, positives)
@@ -143,6 +145,8 @@ def knn_probe(
     test_labels = np.asarray(test_labels, dtype=np.int64)
     if train_emb.shape[0] == 0:
         raise ValueError("empty train set")
+    if test_emb.shape[0] == 0:
+        raise ValueError("empty test set")
     if k_nn < 1:
         raise ValueError("k_nn must be at least 1")
     if train_labels.min() < 0:

@@ -50,6 +50,14 @@ class NetworkConfig:
     bn_eps: float = 1e-5
     bn_momentum: float = 0.1
 
+    def __post_init__(self):
+        eps, mom = self.bn_eps, self.bn_momentum
+        if not (0.0 < eps < math.inf and 0.0 <= mom <= 1.0):
+            raise ValueError(f"bad batch-norm eps {eps}, momentum {mom}")
+        widths = (self.in_dim, *self.encoder, *self.projector, *self.predictor)
+        if not (self.encoder and self.projector and self.predictor) or min(widths) < 1:
+            raise ValueError("network heads need positive widths")
+
     def head_sizes(self, head: str) -> tuple[int, ...]:
         if head == "encoder":
             return (self.in_dim, *self.encoder)
@@ -390,6 +398,20 @@ class OptimizerState:
     step_count: int = 0
     buffers: dict[str, NDArray[np.float64]] = field(default_factory=dict)
 
+    def __post_init__(self):
+        if not 0.0 <= self.momentum < 1.0:
+            raise ValueError(f"SGD momentum {self.momentum} outside [0, 1)")
+        rates = {"weight decay": self.weight_decay, "base_lr": self.base_lr,
+                 "peak_lr": self.peak_lr, "floor_lr": self.floor_lr}
+        for name, value in rates.items():
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"{name} {value} is not finite and nonnegative")
+        warmup, total = self.warmup_epochs, self.total_epochs
+        if warmup < 0:
+            raise ValueError(f"warmup of {warmup} epochs is negative")
+        if warmup > total:
+            raise ValueError(f"warmup of {warmup} epochs exceeds {total} total epochs")
+
 
 def lr_at(opt: OptimizerState, epoch: float) -> float:
     """Learning rate at a fractional epoch: linear warmup, then cosine.
@@ -509,9 +531,6 @@ def _check_checkpoint_size(cfg: NetworkConfig, left: int) -> None:
     Runs before any tensor is allocated, so an absurd width in a corrupt
     header cannot turn into a huge allocation.
     """
-    widths = (cfg.in_dim, *cfg.encoder, *cfg.projector, *cfg.predictor)
-    if not (cfg.encoder and cfg.projector and cfg.predictor) or min(widths) < 1:
-        raise _binio.FormatError("checkpoint heads need positive widths")
     trainable = _fields(cfg, trainable=True)
     # optimizer scalars (5 f64, 3 u64); every tensor online and in the
     # target, and a momentum buffer for each trainable one
@@ -536,44 +555,34 @@ def load_checkpoint(
         in_dim = _binio.read_u64(fh)
         bn = _binio.read_flag(fh)
         bn_eps, bn_momentum = _binio.read_f64_array(fh, (2,))
-        if not (0.0 < bn_eps < math.inf and 0.0 <= bn_momentum <= 1.0):
-            raise _binio.FormatError(f"bad batch-norm eps {bn_eps}, momentum {bn_momentum}")
         widths = {}
         for head in HEADS:
             n = _binio.read_u64(fh)
             if 8 * n > _binio.bytes_left(fh):
                 raise _binio.FormatError(f"truncated file: {head} claims {n} layers")
             widths[head] = tuple(_binio.read_u64(fh) for _ in range(n))
-        cfg = NetworkConfig(
-            in_dim=in_dim,
-            bn=bn,
-            bn_eps=float(bn_eps),
-            bn_momentum=float(bn_momentum),
-            **widths,
-        )
-        _check_checkpoint_size(cfg, _binio.bytes_left(fh))
-        mom, wd, base, peak, floor = _binio.read_f64_array(fh, (5,))
-        opt = OptimizerState(
-            momentum=float(mom),
-            weight_decay=float(wd),
-            base_lr=float(base),
-            peak_lr=float(peak),
-            floor_lr=float(floor),
-            warmup_epochs=_binio.read_u64(fh),
-            total_epochs=_binio.read_u64(fh),
-            step_count=_binio.read_u64(fh),
-        )
-        # TrainConfig.validate's rules for the values the optimizer came from
-        if not 0.0 <= mom < 1.0:
-            raise _binio.FormatError(f"SGD momentum {mom} outside [0, 1)")
-        for name, value in (("weight decay", wd), ("base_lr", base), ("peak_lr", peak),
-                            ("floor_lr", floor)):
-            if not 0.0 <= value < math.inf:
-                raise _binio.FormatError(f"{name} {value} is not finite and nonnegative")
-        if opt.warmup_epochs > opt.total_epochs:
-            raise _binio.FormatError(
-                f"warmup of {opt.warmup_epochs} epochs exceeds {opt.total_epochs} total epochs"
+        try:  # both dataclasses check their own fields when built
+            cfg = NetworkConfig(
+                in_dim=in_dim,
+                bn=bn,
+                bn_eps=float(bn_eps),
+                bn_momentum=float(bn_momentum),
+                **widths,
             )
+            _check_checkpoint_size(cfg, _binio.bytes_left(fh))
+            mom, wd, base, peak, floor = _binio.read_f64_array(fh, (5,))
+            opt = OptimizerState(
+                momentum=float(mom),
+                weight_decay=float(wd),
+                base_lr=float(base),
+                peak_lr=float(peak),
+                floor_lr=float(floor),
+                warmup_epochs=_binio.read_u64(fh),
+                total_epochs=_binio.read_u64(fh),
+                step_count=_binio.read_u64(fh),
+            )
+        except ValueError as exc:
+            raise _binio.FormatError(str(exc)) from exc
 
         def read(head, li, name, shape, section="online"):
             arr = _binio.read_f64_array(fh, shape)

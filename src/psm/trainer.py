@@ -116,18 +116,9 @@ class TrainConfig:
             raise ValueError("lambda must be nonnegative")
         if not 0.0 <= self.ema_momentum <= 1.0:
             raise ValueError("EMA momentum must lie in [0, 1]")
-        if min(self.base_lr, self.peak_lr, self.floor_lr) < 0:
-            raise ValueError("learning rates must be nonnegative")
-        if self.weight_decay < 0:
-            raise ValueError("weight decay must be nonnegative")
-        if not 0.0 <= self.sgd_momentum < 1.0:
-            raise ValueError("SGD momentum must lie in [0, 1)")
+        self.optimizer()  # OptimizerState checks the rates and the epoch counts
         if self.bank_capacity < 1:
             raise ValueError("bank capacity must be positive")
-        if self.epochs < 0 or self.warmup_epochs < 0:
-            raise ValueError("epoch counts must be nonnegative")
-        if self.warmup_epochs > self.epochs:
-            raise ValueError("warmup cannot exceed total epochs")
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
         if self.weight_span not in (WEIGHT_SPAN_WITH_VIEW, WEIGHT_SPAN_MINED_ONLY):
@@ -143,6 +134,18 @@ class TrainConfig:
                 raise ValueError("k=0 with the hard loss disabled leaves no signal")
             if not self.use_soft and self.lam == 0:
                 raise ValueError("lambda=0 with the soft loss disabled leaves no signal")
+
+    def optimizer(self) -> OptimizerState:
+        """A fresh SGD state with this config's rates and schedule."""
+        return OptimizerState(
+            momentum=self.sgd_momentum,
+            weight_decay=self.weight_decay,
+            warmup_epochs=self.warmup_epochs,
+            total_epochs=self.epochs,
+            base_lr=self.base_lr,
+            peak_lr=self.peak_lr,
+            floor_lr=self.floor_lr,
+        )
 
     def steps_per_epoch(self, n_rows: int) -> int:
         """Full batches per epoch over ``n_rows`` rows; at least one if training."""
@@ -385,15 +388,7 @@ def pretrain(
     )
     params = init_params(net_cfg, root.split("net"))
     target = None if baseline else copy_params(params)
-    opt = OptimizerState(
-        momentum=cfg.sgd_momentum,
-        weight_decay=cfg.weight_decay,
-        warmup_epochs=cfg.warmup_epochs,
-        total_epochs=cfg.epochs,
-        base_lr=cfg.base_lr,
-        peak_lr=cfg.peak_lr,
-        floor_lr=cfg.floor_lr,
-    )
+    opt = cfg.optimizer()
     bank = None
     if not baseline:
         bank = MemoryBank(cfg.bank_capacity, cfg.projector[-1], with_labels=True)

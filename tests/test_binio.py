@@ -151,9 +151,17 @@ def test_checkpoint_with_impossible_tensor_is_a_format_error(tmp_path, fault, me
 
 
 def _checkpoint_with_optimizer(path, **fields):
+    """A checkpoint whose optimizer scalars are ``fields``, set after construction.
+
+    OptimizerState refuses an impossible value when it is built, so a bad
+    file comes from a valid state whose fields are changed afterwards.
+    """
     cfg = NetworkConfig(in_dim=3, encoder=(4, 2), projector=(3,), predictor=(3,))
     params = init_params(cfg, RngState(3))
-    save_checkpoint(params, OptimizerState(**fields), copy_params(params), path)
+    opt = OptimizerState()
+    for name, value in fields.items():
+        setattr(opt, name, value)
+    save_checkpoint(params, opt, copy_params(params), path)
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import argparse
 import json
 import struct
 
@@ -52,7 +53,54 @@ def mini_run(tmp_path_factory, heads_config):
     return out
 
 
+# Every pretrain flag that sets a TrainConfig field: its arguments, the
+# field, the value the flag gives it, and a --config value it must beat.
+_FIELD_FLAGS = [
+    (["--seed", "5"], "seed", 5, 9),
+    (["--k", "3"], "k", 3, 1),
+    (["--a", "1.5"], "a", 1.5, 0.25),
+    (["--lambda", "0.5"], "lam", 0.5, 2.0),
+    (["--t", "0.3"], "t", 0.3, 0.7),
+    (["--batch", "8"], "batch_size", 8, 16),
+    (["--epochs", "2"], "epochs", 2, 1),
+    (["--warmup", "1"], "warmup_epochs", 1, 0),
+    (["--bank", "700"], "bank_capacity", 700, 100),
+    (["--probe-every", "2"], "probe_every", 2, 10),
+    (["--strategy", "V2"], "strategy", "V2", "V1"),
+    (["--span", "mined_only"], "weight_span", "mined_only", "with_view"),
+    (["--no-pnsm"], "use_pnsm", False, True),
+    (["--no-soft"], "use_soft", False, True),
+    (["--no-hard"], "use_hard", False, True),
+    (["--baseline"], "baseline", True, False),
+    (["--symmetrize"], "symmetrize", True, False),
+]
+
+
 class TestPretrain:
+    def test_every_pretrain_flag_is_a_field_flag(self):
+        sub = next(
+            a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        flags = {a.option_strings[-1] for a in sub.choices["pretrain"]._actions}
+        others = {"--help", "--data", "--synthetic", "--config", "--out"}
+        assert flags - others == {argv[0] for argv, *_ in _FIELD_FLAGS}
+
+    @pytest.mark.parametrize(
+        "argv, field, value, other", _FIELD_FLAGS, ids=[c[0][0] for c in _FIELD_FLAGS]
+    )
+    def test_flag_sets_its_field_over_the_config(self, tmp_path, argv, field, value, other):
+        config = {"encoder": [16], "projector": [8], "predictor": [8],
+                  "epochs": 1, "warmup_epochs": 0, "batch_size": 16, field: other}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "run"
+        code = cli.main(
+            ["pretrain", "--synthetic", SYN, "--config", str(path), "--out", str(out), *argv]
+        )
+        assert code == 0
+        echo = json.loads((out / "config.json").read_text())
+        assert echo[field] == value and type(echo[field]) is type(value)
+
     def test_run_directory_contents(self, mini_run):
         for name in (
             "config.json",

@@ -188,6 +188,12 @@ class TestGradientProfile:
         with pytest.raises(ValueError):
             gradient_profile(q, q, bank, rank_depth=1)
 
+    def test_no_queries_rejected(self):
+        # the curves were NaN, with NumPy's empty-mean warnings
+        empty = np.zeros((0, 2))
+        with pytest.raises(ValueError, match="at least one query"):
+            gradient_profile(empty, empty, np.eye(2), rank_depth=1)
+
     def test_unit_bank_rows_required(self):
         q = np.array([[1.0, 0.0]])
         with pytest.raises(ValueError, match="bank must hold unit rows.*row 1"):
@@ -268,6 +274,11 @@ class TestKnnProbe:
     def test_empty_train_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             knn_probe(np.zeros((0, 2)), np.zeros(0), np.eye(2), np.array([0, 1]))
+
+    def test_empty_test_rejected(self):
+        # the accuracy divided by zero test rows
+        with pytest.raises(ValueError, match="empty test set"):
+            knn_probe(np.eye(2), np.array([0, 1]), np.zeros((0, 2)), np.zeros(0))
 
     def test_k_must_be_positive(self):
         with pytest.raises(ValueError, match="k_nn"):

@@ -494,6 +494,65 @@ class TestOptimizer:
         assert opt.step_count == 1
 
 
+class TestConstructionChecks:
+    """OptimizerState and NetworkConfig refuse an impossible value when built."""
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"momentum": np.nan}, "SGD momentum nan"),
+            ({"momentum": 1.0}, "SGD momentum 1.0"),
+            ({"momentum": -0.1}, "SGD momentum -0.1"),
+            ({"weight_decay": -0.001}, "weight decay -0.001"),
+            ({"weight_decay": np.inf}, "weight decay inf"),
+            ({"base_lr": np.nan}, "base_lr nan"),
+            ({"base_lr": -1e-4}, "base_lr -0.0001"),
+            ({"peak_lr": -5.0}, "peak_lr -5.0"),
+            ({"peak_lr": np.inf}, "peak_lr inf"),
+            ({"floor_lr": np.inf}, "floor_lr inf"),
+            ({"floor_lr": -0.01}, "floor_lr -0.01"),
+            ({"warmup_epochs": -1}, "warmup of -1 epochs is negative"),
+            ({"warmup_epochs": 9, "total_epochs": 2}, "warmup of 9 epochs exceeds 2 total"),
+            ({"warmup_epochs": 0, "total_epochs": -1}, "warmup of 0 epochs exceeds -1 total"),
+        ],
+    )
+    def test_optimizer_rejects(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            OptimizerState(**fields)
+
+    def test_optimizer_limits_are_accepted(self):
+        OptimizerState(momentum=0.0, weight_decay=0.0, base_lr=0.0, peak_lr=0.0,
+                       floor_lr=0.0, warmup_epochs=0, total_epochs=0)
+        OptimizerState(momentum=0.999, warmup_epochs=5, total_epochs=5)
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"bn_eps": 0.0}, "batch-norm eps 0.0"),
+            ({"bn_eps": -1.0}, "batch-norm eps -1.0"),
+            ({"bn_eps": np.nan}, "batch-norm eps nan"),
+            ({"bn_eps": np.inf}, "batch-norm eps inf"),
+            ({"bn_momentum": -0.1}, "batch-norm .* momentum -0.1"),
+            ({"bn_momentum": 1.5}, "batch-norm .* momentum 1.5"),
+            ({"bn_momentum": np.nan}, "batch-norm .* momentum nan"),
+            ({"in_dim": 0}, "positive widths"),
+            ({"encoder": ()}, "positive widths"),
+            ({"projector": ()}, "positive widths"),
+            ({"predictor": ()}, "positive widths"),
+            ({"encoder": (4, 0)}, "positive widths"),
+            ({"projector": (0,)}, "positive widths"),
+            ({"predictor": (3, -1)}, "positive widths"),
+        ],
+    )
+    def test_network_config_rejects(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            NetworkConfig(**{"in_dim": 3, **fields})
+
+    def test_network_config_limits_are_accepted(self):
+        NetworkConfig(in_dim=1, encoder=(1,), projector=(1,), predictor=(1,), bn_momentum=0.0)
+        NetworkConfig(in_dim=1, bn_eps=5e-324, bn_momentum=1.0)
+
+
 class TestSchedule:
     def test_endpoints(self):
         opt = OptimizerState()

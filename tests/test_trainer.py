@@ -69,6 +69,8 @@ class TestValidate:
             dict(ema_momentum=1.5),
             dict(bank_capacity=0),
             dict(epochs=1, warmup_epochs=2),
+            dict(epochs=-1),
+            dict(warmup_epochs=-1),
             dict(strategy="V9"),
             dict(weight_span="everything"),
             dict(use_soft=False, use_hard=False),
@@ -123,6 +125,14 @@ class TestValidate:
     def test_optimizer_range_edges_are_valid(self):
         zeros = dict(base_lr=0.0, peak_lr=0.0, floor_lr=0.0, weight_decay=0.0)
         _mini_cfg(**zeros, sgd_momentum=0.0).validate()
+
+    def test_optimizer_takes_the_config_values(self):
+        cfg = _mini_cfg(sgd_momentum=0.8, weight_decay=0.002, base_lr=0.001,
+                        floor_lr=0.01, epochs=7, warmup_epochs=3)
+        opt = cfg.optimizer()
+        rates = (opt.momentum, opt.weight_decay, opt.base_lr, opt.peak_lr, opt.floor_lr)
+        assert rates == (0.8, 0.002, 0.001, 0.05, 0.01)
+        assert (opt.warmup_epochs, opt.total_epochs, opt.step_count, opt.buffers) == (3, 7, 0, {})
 
 
 class TestNegativeCountOracle:

@@ -8,14 +8,17 @@ one thread, at most two at a time:
 
 * 4-epoch ``c4,d32,n128,sep2`` pretrain runs: plain, ``--baseline``,
   ``--baseline --no-pnsm``, ``--symmetrize``, ``--no-soft``,
-  ``--strategy V2`` and a config with ``{"bn": false}``;
+  ``--strategy V2``, a config with ``{"bn": false}`` and ``allflags``, which
+  sets every other ``pretrain`` flag (``--k 3 --a 1.5 --lambda 0.5 --t 0.3
+  --bank 700 --probe-every 2 --span mined_only --no-hard``);
 * odd shapes: 4-epoch ``c3,d13,n200,sep2 --batch 13`` runs with encoder
   widths 19/37 and projector and predictor widths 19/13, plain and
   ``--baseline``;
 * ``probe`` (knn, linear) and ``diagnose`` (purity, gradients) on the plain
-  and ``--baseline`` checkpoints of both data shapes, and on the plain odd
-  checkpoint with ``c3,d13,n172,sep2`` data, whose 129 test rows leave a
-  lone row after four 32-row evaluation blocks;
+  and ``--baseline`` checkpoints of both data shapes, on the ``allflags``
+  checkpoint, and on the plain odd checkpoint with ``c3,d13,n172,sep2``
+  data, whose 129 test rows leave a lone row after four 32-row evaluation
+  blocks;
 * one round of psmbench's ``analyse`` workload at seeds 101, 102 and 103,
   imported from each tree's ``psmbench/`` without writing into it: its
   inputs (checkpoint, bank, query CSV), its ``diagnose`` files and the
@@ -64,6 +67,10 @@ RUNS = {
     "nosoft": [*SMALL, "--no-soft"],
     "v2": [*SMALL, "--strategy", "V2"],
     "nobn": [*SMALL, "--config", "{nobn}"],
+    "allflags": [
+        *SMALL, "--k", "3", "--a", "1.5", "--lambda", "0.5", "--t", "0.3", "--bank", "700",
+        "--probe-every", "2", "--span", "mined_only", "--no-hard",
+    ],
     "odd": ODD,
     "odd_baseline": [*ODD, "--baseline"],
 }
@@ -72,6 +79,7 @@ FULL_RUNS = {"ref": ["--synthetic", "c4,d32,n512,sep6", "--epochs", "100", "--se
 READ_FROM = {
     "plain": ("plain", SMALL_DATA),
     "baseline": ("baseline", SMALL_DATA),
+    "allflags": ("allflags", SMALL_DATA),
     "odd": ("odd", ODD_DATA),
     "odd_baseline": ("odd_baseline", ODD_DATA),
     "odd_lone_row": ("odd", ["--synthetic", "c3,d13,n172,sep2", "--seed", "3"]),
