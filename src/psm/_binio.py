@@ -1,4 +1,4 @@
-"""Little-endian binary record helpers for the bank/dataset/checkpoint files."""
+"""Little-endian binary record helpers for the bank and checkpoint files."""
 
 from __future__ import annotations
 

@@ -18,7 +18,6 @@ import numpy as np
 
 from . import _binio, network
 from .data import (
-    AugmentPolicy,
     DataFormatError,
     Dataset,
     gen_clusters,
@@ -44,9 +43,6 @@ from .trainer import (
     write_metrics_csv,
 )
 
-_AUG_KEYS = ("aug_sigma", "aug_dropout", "aug_scale_lo", "aug_scale_hi")
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse exits with 2 on usage errors; this program reserves 2 for data."""
 
@@ -67,6 +63,8 @@ def _parse_synthetic(spec: str) -> dict:
             ("n", "n_per_class", int),
         ):
             if token.startswith(prefix):
+                if key in out:
+                    raise ValueError(f"synthetic spec sets {key} twice: {token!r}")
                 try:
                     out[key] = conv(token[len(prefix) :])
                 except ValueError:
@@ -91,6 +89,27 @@ def _load_data(args, seed: int) -> tuple[Dataset, Dataset]:
     return split_dataset(full, 0.2, seed)
 
 
+def _from_json(cls, values: dict, what: str):
+    """Build dataclass ``cls`` from a JSON object, as ``dataclasses.asdict`` writes it.
+
+    A field whose default is a dataclass takes a JSON object, built the same
+    way; a JSON list becomes a tuple.
+    """
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    unknown = set(values) - fields.keys()
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
+    kwargs = {}
+    for name, value in values.items():
+        nested = fields[name].default_factory
+        if dataclasses.is_dataclass(nested) and isinstance(value, dict):
+            value = _from_json(nested, value, name)
+        elif isinstance(value, list):
+            value = tuple(value)
+        kwargs[name] = value
+    return cls(**kwargs)
+
+
 def _config_from_args(args) -> TrainConfig:
     values: dict = {}
     if args.config:
@@ -106,30 +125,7 @@ def _config_from_args(args) -> TrainConfig:
         value = getattr(args, f.name, None)
         if value is not None:
             values[f.name] = value
-
-    aug_kwargs = {}
-    for key in _AUG_KEYS:
-        if key in values:
-            aug_kwargs[key.removeprefix("aug_")] = values.pop(key)
-    field_names = {f.name for f in dataclasses.fields(TrainConfig)}
-    unknown = set(values) - field_names
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    for head in ("encoder", "projector", "predictor"):
-        if isinstance(values.get(head), list):
-            values[head] = tuple(values[head])
-    cfg = TrainConfig(**values)
-    if aug_kwargs:
-        cfg = dataclasses.replace(cfg, augment=AugmentPolicy(**aug_kwargs))
-    cfg.validate()
-    return cfg
-
-
-def _echo_config(cfg: TrainConfig, args) -> dict:
-    echo = dataclasses.asdict(cfg)
-    echo["data"] = args.synthetic if args.synthetic else str(args.data)
-    echo["data_kind"] = "synthetic" if args.synthetic else "csv"
-    return echo
+    return _from_json(TrainConfig, values, "config")
 
 
 def cmd_pretrain(args) -> int:
@@ -139,7 +135,7 @@ def cmd_pretrain(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.json").write_text(
-        json.dumps(_echo_config(cfg, args), indent=2, sort_keys=True) + "\n",
+        json.dumps(dataclasses.asdict(cfg), indent=2, sort_keys=True) + "\n",
         encoding="utf-8",
     )
     art = pretrain(cfg, train_ds, test_ds)
@@ -152,6 +148,8 @@ def cmd_pretrain(args) -> int:
         out / "checkpoint.psmc",
     )
     summary = {
+        "data": args.synthetic if args.synthetic else str(args.data),
+        "data_kind": "synthetic" if args.synthetic else "csv",
         "init_knn": art.init_knn,
         "final_knn": art.final_knn,
         "final_metrics": art.metrics[-1] if art.metrics else None,
@@ -293,26 +291,17 @@ def cmd_mine(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    base = TrainConfig(seed=args.seed)
-    if args.epochs is not None:
-        base = dataclasses.replace(base, epochs=args.epochs)
-        if args.epochs < base.warmup_epochs:
-            base = dataclasses.replace(base, warmup_epochs=max(args.epochs // 5, 0))
-    if args.batch is not None:
-        base = dataclasses.replace(base, batch_size=args.batch)
+    given = {"seed": args.seed, "epochs": args.epochs, "batch_size": args.batch}
+    if args.epochs is not None and args.epochs < TrainConfig.warmup_epochs:
+        given["warmup_epochs"] = max(args.epochs // 5, 0)
+    base = TrainConfig(**{name: v for name, v in given.items() if v is not None})
+    field = "lam" if args.axis == "lambda" else args.axis
+    kind = type(getattr(base, field))
     cells = []
     for raw in args.values.split(","):
         raw = raw.strip()
-        if args.axis == "strategy":
-            cfg = dataclasses.replace(base, strategy=raw)
-        elif args.axis == "k":
-            cfg = dataclasses.replace(base, k=int(raw))
-        elif args.axis == "a":
-            cfg = dataclasses.replace(base, a=float(raw))
-        else:
-            cfg = dataclasses.replace(base, lam=float(raw))
-        cfg.validate()
-        cells.append((f"{args.axis}={raw}", cfg))
+        cell = dataclasses.replace(base, **{field: kind(raw)})
+        cells.append((f"{args.axis}={raw}", cell))
     train_ds, test_ds = _load_data(args, args.seed)
     base.steps_per_epoch(train_ds.n)  # every cell shares the batch size
     out = Path(args.out)
@@ -335,8 +324,8 @@ def cmd_ablate(args) -> int:
     return 0
 
 
-def _add_data_args(p, required=True):
-    group = p.add_mutually_exclusive_group(required=required)
+def _add_data_args(p):
+    group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--data", help="dataset CSV (split 80/20 by seed)")
     group.add_argument("--synthetic", help="generator spec, e.g. c4,d32,n512,sep6")
 

@@ -43,7 +43,7 @@ class Dataset:
         return self.features.shape[1]
 
 
-@dataclass
+@dataclass(frozen=True)
 class AugmentPolicy:
     """Vector-space stand-ins for image augmentation: noise, dropout, scale."""
 

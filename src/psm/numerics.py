@@ -154,11 +154,11 @@ def check_field_types(obj) -> None:
             raise ValueError(f"{f.name}={value!r} is not a valid {kind.__name__}")
 
 
-def check_unit_rows(m: np.ndarray, what: str, tol: float = 1e-6) -> None:
-    """Raise unless every row of ``m`` has norm 1 (within tol) or exactly 0."""
+def check_unit_rows(m: np.ndarray, what: str) -> None:
+    """Raise unless every row of ``m`` has norm 1 (within 1e-6) or exactly 0."""
     m = np.asarray(m, dtype=np.float64)
     norms = np.sqrt(np.einsum("ij,ij->i", np.atleast_2d(m), np.atleast_2d(m)))
-    bad = ~(np.abs(norms - 1.0) <= tol) & ~(norms == 0.0)
+    bad = ~(np.abs(norms - 1.0) <= 1e-6) & ~(norms == 0.0)
     if np.any(bad):
         row = int(np.argmax(bad))
         raise ValueError(

@@ -70,8 +70,10 @@ METRICS_HEADER = (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
+    """Every setting of a run; building one checks them all."""
+
     t: float = 0.5
     batch_size: int = 64
     k: int = 5
@@ -102,7 +104,7 @@ class TrainConfig:
     probe_every: int = 10
     probe_knn: int = 20
 
-    def validate(self) -> None:
+    def __post_init__(self):
         check_field_types(self)
         if self.t <= 0:
             raise ValueError("temperature must be positive")
@@ -375,7 +377,6 @@ def pretrain(
     The kNN probe columns populate at every probe_every-th epoch and the
     final one, and only when a test set is supplied.
     """
-    cfg.validate()
     baseline = cfg.baseline
     steps_per_epoch = cfg.steps_per_epoch(train_ds.n)
     root = RngState(cfg.seed)

@@ -132,7 +132,8 @@ class TestPretrain:
         stdout = capsys.readouterr().out
         assert f"run written to {out}" in stdout
         summary = json.loads((out / "summary.json").read_text())
-        assert set(summary) == {"init_knn", "final_knn", "final_metrics"}
+        assert set(summary) == {"data", "data_kind", "init_knn", "final_knn", "final_metrics"}
+        assert summary["data"] == SYN and summary["data_kind"] == "synthetic"
         final_line = [l for l in stdout.splitlines() if l.startswith("final_knn=")]
         assert float(final_line[0].split("=")[1]) == summary["final_knn"]
 
@@ -172,7 +173,6 @@ class TestPretrain:
         assert code == 0
         echo = json.loads((out / "config.json").read_text())
         assert echo["k"] == 1 and echo["epochs"] == 1
-        assert echo["data"] == SYN and echo["data_kind"] == "synthetic"
 
     def test_config_file_seed_holds_without_the_flag(self, tmp_path, heads_config):
         def run(name, file_seed, flag):
@@ -201,7 +201,7 @@ class TestPretrain:
     def test_aug_keys_route_into_policy(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(
-            json.dumps({"aug_sigma": 0.3, "epochs": 1, "warmup_epochs": 0})
+            json.dumps({"augment": {"sigma": 0.3}, "epochs": 1, "warmup_epochs": 0})
         )
         out = tmp_path / "run"
         code = cli.main(
@@ -219,7 +219,31 @@ class TestPretrain:
         )
         assert code == 0
         echo = json.loads((out / "config.json").read_text())
-        assert echo["augment"]["sigma"] == 0.3
+        defaults = {"dropout": 0.2, "scale_lo": 0.8, "scale_hi": 1.25}
+        assert echo["augment"] == {"sigma": 0.3, **defaults}
+
+    @pytest.mark.parametrize(
+        "flags, heads",
+        [
+            (["--batch", "16"], None),
+            (["--batch", "16", "--baseline"], None),
+            (["--batch", "13"], {"encoder": [19, 37], "projector": [19, 13],
+                                 "predictor": [19, 13]}),
+        ],
+        ids=["plain", "baseline", "odd_heads"],
+    )
+    def test_config_json_repeats_the_run(self, tmp_path, flags, heads):
+        first, again = tmp_path / "first", tmp_path / "again"
+        argv = ["pretrain", "--synthetic", SYN, "--epochs", "2", "--warmup", "1",
+                "--seed", "3", *flags]
+        if heads is not None:
+            (tmp_path / "heads.json").write_text(json.dumps(heads))
+            argv += ["--config", str(tmp_path / "heads.json")]
+        assert cli.main([*argv, "--out", str(first)]) == 0
+        argv = ["pretrain", "--synthetic", SYN, "--config", str(first / "config.json")]
+        assert cli.main([*argv, "--out", str(again)]) == 0
+        for name in ("config.json", "metrics.csv", "purity.csv", "checkpoint.psmc"):
+            assert (again / name).read_bytes() == (first / name).read_bytes(), name
 
 
 # A run that would train cleanly: one epoch, no warmup, a batch that fits.
@@ -238,7 +262,7 @@ class TestExitCodes:
             ([*_SMALL, "--t", "nan"], {}),
             ([*_SMALL, "--lambda", "nan"], {}),
             (["--synthetic", "c3,d8,n16,sepnan", *_SMALL[2:]], {}),
-            (_SMALL, {"aug_sigma": float("nan")}),
+            (_SMALL, {"augment": {"sigma": float("nan")}}),
             (_SMALL, {"peak_lr": float("nan")}),
             (["--synthetic", SYN, "--batch", "16", "--warmup", "0"], {"epochs": 2.5}),
             (["--synthetic", SYN, "--epochs", "1", "--warmup", "0"], {"batch_size": "16"}),
@@ -276,6 +300,23 @@ class TestExitCodes:
         assert code == 1
         assert "unknown config keys" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ({"aug_sigma": 0.3}, "unknown config keys: ['aug_sigma']"),
+            ({"augment": {"sigmaa": 0.3}}, "unknown augment keys: ['sigmaa']"),
+        ],
+        ids=["flat_aug_sigma", "augment_sigmaa"],
+    )
+    def test_unknown_keys_are_named_at_their_level(self, tmp_path, capsys, config, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "o"
+        code = cli.main(["pretrain", *_SMALL, "--config", str(cfg), "--out", str(out)])
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_config_file(self, tmp_path):
         code = cli.main(
             [
@@ -304,6 +345,16 @@ class TestExitCodes:
             ["pretrain", "--synthetic", spec, "--out", str(tmp_path / "o")]
         )
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "spec, key", [("c4,c16,d8,n16,sep6", "classes"), ("c4,d8,n16,sep6,d8", "dim")]
+    )
+    def test_repeated_synthetic_token(self, tmp_path, capsys, spec, key):
+        out = tmp_path / "o"
+        code = cli.main(["pretrain", "--synthetic", spec, *_SMALL[2:], "--out", str(out)])
+        assert code == 1
+        assert f"synthetic spec sets {key} twice" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_data_file(self, tmp_path):
         code = cli.main(
@@ -890,6 +941,18 @@ class TestAblate:
         assert lines[0] == "label,knn_acc,purity_top1,loss_total"
         assert [l.split(",")[0] for l in lines[1:]] == ["k=1", "k=3"]
         assert "table written to" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "axis, values", [("a", "0,2.5"), ("lambda", "0.5,1"), ("strategy", "V0,V2")]
+    )
+    def test_every_axis_sets_its_field(self, tmp_path, axis, values):
+        out = tmp_path / "abl"
+        argv = ["ablate", "--synthetic", SYN, "--axis", axis, "--values", values,
+                "--epochs", "1", "--batch", "16", "--out", str(out)]
+        assert cli.main(argv) == 0
+        rows = [l.split(",") for l in (out / "ablation.csv").read_text().splitlines()[1:]]
+        assert [r[0] for r in rows] == [f"{axis}={v}" for v in values.split(",")]
+        assert rows[0][3] != rows[1][3]  # the field reached training: the losses differ
 
     def test_invalid_cell_value(self, tmp_path):
         code = cli.main(

@@ -300,7 +300,7 @@ class TestLinearProbe:
     def test_topk_spans_all_classes_when_few(self):
         emb = np.eye(3)
         labels = np.array([0, 1, 2])
-        _, topk = linear_probe(emb, labels, emb, labels, epochs=1)
+        _, topk = linear_probe(emb, labels, emb, labels)
         assert topk == pytest.approx(1.0)
 
     def test_empty_sets_rejected(self):

@@ -6,6 +6,10 @@ string that spells the name does not count. A definition that only tests
 call is a second copy of behaviour the program does not run, so it should
 go, and its tests should move onto the code that does run. Dunder names
 such as ``__all__`` are read by Python itself and are exempt.
+
+Likewise every defaulted parameter of a function or method in src/psm/ is
+passed by some program call, by position, by keyword or by unpacking: a
+default no caller overrides is a constant, and belongs in the body.
 """
 
 import ast
@@ -96,3 +100,91 @@ def test_the_check_covers_module_constants():
         "    return B + C\n"
     )
     assert _unused([("src/m.py", module)]) == ["src/m.py:D", "src/m.py:f"]
+
+
+# cli.main is the console script's entry point, where argv defaults to
+# sys.argv; psmbench and the tests pass argv through a function reference,
+# which no call site shows.
+_ENTRY_POINTS = {("src/psm/cli.py", "main")}
+
+
+def _defaulted_parameters(node: ast.AST, cls: ast.ClassDef | None = None):
+    """(function, callee name, parameter, positional index or None) for every
+    defaulted parameter under ``node``. A method's index skips ``self``, and
+    ``__init__`` is called through its class name."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.ClassDef):
+            yield from _defaulted_parameters(child, child)
+            continue
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _defaulted_parameters(child, cls)
+            continue
+        args = child.args
+        positional = args.posonlyargs + args.args
+        bound = cls is not None
+        name = cls.name if bound and child.name == "__init__" else child.name
+        for i in range(len(positional) - len(args.defaults), len(positional)):
+            yield child, name, positional[i].arg, i - bound
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield child, name, arg.arg, None
+        yield from _defaulted_parameters(child)
+
+
+def _callee(call: ast.Call) -> str | None:
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def _passes(call: ast.Call, param: str, index: int | None) -> bool:
+    """Whether ``call`` may set ``param``: by keyword, by position or by unpacking."""
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    if any(k.arg is None or k.arg == param for k in call.keywords):
+        return True
+    return index is not None and index < len(call.args)
+
+
+def _unpassed(sources=None) -> list[str]:
+    trees = [(rel, ast.parse(text)) for rel, text in sources or _program_sources()]
+    calls: dict[str, list[ast.Call]] = {}
+    for _, tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                calls.setdefault(_callee(node), []).append(node)
+    return [
+        f"{rel}:{name}({param})"
+        for rel, tree in trees if rel.startswith("src/")
+        for fn, name, param, index in _defaulted_parameters(tree)
+        if (rel, fn.name) not in _ENTRY_POINTS
+        and not any(_passes(call, param, index) for call in calls.get(name, []))
+    ]
+
+
+def test_every_defaulted_parameter_is_passed_by_the_program():
+    unpassed = _unpassed()
+    assert unpassed == [], f"defaults no program call overrides (make them constants): {unpassed}"
+
+
+def test_the_parameter_check_sees_every_way_to_pass():
+    module = (
+        "def f(x, y=1, *, z=2):\n"
+        "    return x\n"
+        "class C:\n"
+        "    def __init__(self, a, b=0):\n"
+        "        pass\n"
+        "    def m(self, c=0, d=0):\n"
+        "        def inner(e=0):\n"
+        "            return e\n"
+        "        return inner()\n"
+        "f(1, 2)\n"
+        "C(1)\n"
+        "C(1).m(d=3)\n"
+        "g(*[])\n"
+    )
+    assert _unpassed([("src/m.py", module)]) == [
+        "src/m.py:f(z)", "src/m.py:C(b)", "src/m.py:m(c)", "src/m.py:inner(e)",
+    ]
+    assert _unpassed([("src/m.py", module + "f(0, z=1, **{})\nC(0, *[])\nm(**{})\n")]) == [
+        "src/m.py:inner(e)",
+    ]

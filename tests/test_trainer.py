@@ -107,24 +107,35 @@ class TestValidate:
     )
     def test_rejects(self, over):
         with pytest.raises(ValueError):
-            _mini_cfg(**over).validate()
+            _mini_cfg(**over)
+
+    def test_replace_is_checked_too(self):
+        with pytest.raises(ValueError, match="warmup"):
+            dataclasses.replace(_mini_cfg(), warmup_epochs=3)
+
+    def test_fields_are_frozen(self):
+        cfg = _mini_cfg()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.k = -1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.augment.sigma = -1.0
 
     def test_baseline_ignores_loss_switches(self):
-        _mini_cfg(baseline=True, use_soft=False, use_hard=False).validate()
-        _mini_cfg(baseline=True, use_soft=False, lam=0.0).validate()
+        _mini_cfg(baseline=True, use_soft=False, use_hard=False)
+        _mini_cfg(baseline=True, use_soft=False, lam=0.0)
 
     def test_probe_only_at_the_end_is_valid(self):
-        _mini_cfg(probe_every=0).validate()
+        _mini_cfg(probe_every=0)
 
     def test_default_is_valid(self):
-        TrainConfig().validate()
+        TrainConfig()
 
     def test_ints_stand_for_floats(self):
-        _mini_cfg(t=1, a=0, lam=2, peak_lr=1).validate()
+        _mini_cfg(t=1, a=0, lam=2, peak_lr=1)
 
     def test_optimizer_range_edges_are_valid(self):
         zeros = dict(base_lr=0.0, peak_lr=0.0, floor_lr=0.0, weight_decay=0.0)
-        _mini_cfg(**zeros, sgd_momentum=0.0).validate()
+        _mini_cfg(**zeros, sgd_momentum=0.0)
 
     def test_optimizer_takes_the_config_values(self):
         cfg = _mini_cfg(sgd_momentum=0.8, weight_decay=0.002, base_lr=0.001,

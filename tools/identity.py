@@ -11,6 +11,8 @@ one thread, at most two at a time:
   ``--strategy V2``, a config with ``{"bn": false}`` and ``allflags``, which
   sets every other ``pretrain`` flag (``--k 3 --a 1.5 --lambda 0.5 --t 0.3
   --bank 700 --probe-every 2 --span mined_only --no-hard``);
+* one 2-epoch ``ablate --axis lambda --values 0.5,1`` sweep on the
+  ``c4,d32,n128,sep2`` data;
 * odd shapes: 4-epoch ``c3,d13,n200,sep2 --batch 13`` runs with encoder
   widths 19/37 and projector and predictor widths 19/13, plain and
   ``--baseline``;
@@ -29,10 +31,11 @@ one thread, at most two at a time:
 Every output file, and the standard output of every call with its run
 directory masked, is compared byte for byte. For each file the tool prints
 "identical"; otherwise, for a CSV, the largest absolute difference per
-column that differs, for a JSON file, the largest absolute difference per
-numeric leaf that differs, and for any other file, the count of differing
-bytes. The exit code is 0 when every file is identical and 1 otherwise.
-The tool is a development aid; no test runs it.
+column that differs, for a JSON file, the keys only one side has (``-key``
+only in REV, ``+key`` only in the working tree) and the largest absolute
+difference per shared numeric leaf that differs, and for any other file,
+the count of differing bytes. The exit code is 0 when every file is
+identical and 1 otherwise. The tool is a development aid; no test runs it.
 """
 
 from __future__ import annotations
@@ -74,6 +77,7 @@ RUNS = {
     "odd": ODD,
     "odd_baseline": [*ODD, "--baseline"],
 }
+ABLATE = ["ablate", *SMALL_DATA, "--axis", "lambda", "--values", "0.5,1", "--epochs", "2"]
 FULL_RUNS = {"ref": ["--synthetic", "c4,d32,n512,sep6", "--epochs", "100", "--seed", "7"]}
 # read name: (run whose checkpoint is read, data arguments)
 READ_FROM = {
@@ -161,6 +165,10 @@ def run_matrix(trees: dict[str, Path], work: Path, full: bool) -> None:
                         ["pretrain", *argv, "--out", str(work / side / name / "run")])
             for name, argv in runs.items() for side in SIDES
         ] + [
+            pool.submit(psm, trees[side], work / side / "ablate", "ablate",
+                        [*ABLATE, "--out", str(work / side / "ablate" / "run")])
+            for side in SIDES
+        ] + [
             pool.submit(analyse, trees[side], seed, work / side / f"analyse_{seed}")
             for seed in ANALYSE_SEEDS for side in SIDES
         ]
@@ -220,13 +228,15 @@ def _leaves(obj, path=""):
 
 def json_diff(a: bytes, b: bytes) -> str:
     la, lb = dict(_leaves(json.loads(a))), dict(_leaves(json.loads(b)))
-    if la.keys() != lb.keys():
-        return "keys differ"
+    one_side = [f"-{k}" for k in la if k not in lb] + [f"+{k}" for k in lb if k not in la]
+    notes = [f"keys differ: {', '.join(one_side)}"] if one_side else []
     diffs: dict[str, list] = {}
-    for key in la:
+    for key in (k for k in la if k in lb):
         if not _worst(diffs, key, la[key], lb[key]):
-            return f"value differs at {key}"
-    return ", ".join(f"{key} {d:.3g}" for key, (d, _) in diffs.items())
+            return "; ".join([*notes, f"value differs at {key}"])
+    if diffs:
+        notes.append(", ".join(f"{key} {d:.3g}" for key, (d, _) in diffs.items()))
+    return "; ".join(notes)
 
 
 def byte_diff(a: bytes, b: bytes) -> str:
