@@ -3,7 +3,9 @@
 Every command is a pure function of its arguments, input files, and seed;
 rerunning reproduces outputs byte for byte. Exit codes: 0 success, 1 bad
 usage or configuration, 2 unreadable or malformed data files. All
-validation happens before any output file is created.
+validation happens before any output file is created, and a command's
+files are written once its work has succeeded. Every CSV and JSON file
+goes through ``_write_csv`` or ``_write_json``.
 """
 
 from __future__ import annotations
@@ -30,18 +32,11 @@ from .diagnostics import (
     linear_probe,
     linear_probe_k,
     purity,
-    write_gradient_profile_csv,
-    write_purity_csv,
 )
 from .memory_bank import MemoryBank, load_bank, query_topk, query_topk_batch
 from .numerics import RngState, l2_normalize_rows
 from .pnsm import MiningConfig, mine_negatives
-from .trainer import (
-    TrainConfig,
-    pretrain,
-    run_ablation_suite,
-    write_metrics_csv,
-)
+from .trainer import METRICS_HEADER, TrainConfig, pretrain, run_ablation_suite
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits with 2 on usage errors; this program reserves 2 for data."""
@@ -49,6 +44,27 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _cell(value) -> str:
+    """A CSV cell: empty for None or a non-finite float, repr for a float."""
+    if value is None:
+        return ""
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value)) if np.isfinite(value) else ""
+    return str(value)
+
+
+def _write_csv(path: Path, header: str, rows) -> None:
+    """Write ``header`` and one line of ``_cell`` texts per row."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(map(_cell, row)) + "\n")
+
+
+def _write_json(path: Path, obj) -> None:
+    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def _parse_synthetic(spec: str) -> dict:
@@ -134,13 +150,12 @@ def cmd_pretrain(args) -> int:
     cfg.steps_per_epoch(train_ds.n)  # a batch that does not fit fails before any write
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "config.json").write_text(
-        json.dumps(dataclasses.asdict(cfg), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-    art = pretrain(cfg, train_ds, test_ds)
-    write_metrics_csv(art.metrics, out / "metrics.csv")
-    write_purity_csv(art.purity_rows, out / "purity.csv")
+    art = pretrain(cfg, train_ds, test_ds)  # a run that fails here writes no file
+    _write_json(out / "config.json", dataclasses.asdict(cfg))
+    cols = METRICS_HEADER.split(",")
+    metric_rows = ([row.get(c) for c in cols] for row in art.metrics)
+    _write_csv(out / "metrics.csv", METRICS_HEADER, metric_rows)
+    _write_csv(out / "purity.csv", "epoch,batch,purity", art.purity_rows)
     network.save_checkpoint(
         art.params,
         art.opt,
@@ -154,9 +169,7 @@ def cmd_pretrain(args) -> int:
         "final_knn": art.final_knn,
         "final_metrics": art.metrics[-1] if art.metrics else None,
     }
-    (out / "summary.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    _write_json(out / "summary.json", summary)
     print(f"run written to {out}")
     if art.final_knn is not None:
         print(f"final_knn={art.final_knn!r}")
@@ -219,7 +232,12 @@ def cmd_diagnose(args) -> int:
         z2 = network.forward_target(target, test_ds.features)
         profile = gradient_profile(q, z2, bank_emb, rank_depth=args.rank_depth)
         out.mkdir(parents=True, exist_ok=True)
-        write_gradient_profile_csv(profile, out / "gradient_profile.csv")
+        ranks = range(1, profile.rank_depth + 1)
+        _write_csv(
+            out / "gradient_profile.csv",
+            "rank,mean_norm,var_norm",
+            zip(ranks, profile.mean_norm, profile.var_norm),
+        )
         print(f"gradient profile written to {out / 'gradient_profile.csv'}")
         print(f"mean_positive_rank={profile.mean_positive_rank!r}")
         return 0
@@ -240,7 +258,7 @@ def cmd_diagnose(args) -> int:
             rows.append((1, step, topk))
         bank.enqueue_batch(z2, train_ds.labels[sel])
     out.mkdir(parents=True, exist_ok=True)
-    write_purity_csv(rows, out / "purity.csv")
+    _write_csv(out / "purity.csv", "epoch,batch,purity", rows)
     mean = float(np.mean([r[2] for r in rows])) if rows else float("nan")
     print(f"purity written to {out / 'purity.csv'}")
     print(f"mean_purity={mean!r}")
@@ -308,16 +326,8 @@ def cmd_ablate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     rows = run_ablation_suite(cells, train_ds, test_ds)
     table_path = out / "ablation.csv"
-    with open(table_path, "w", encoding="utf-8") as fh:
-        fh.write("label,knn_acc,purity_top1,loss_total\n")
-        for row in rows:
-            cells_txt = [
-                row["label"],
-                "" if row["knn_acc"] is None else repr(row["knn_acc"]),
-                "" if row["purity_top1"] is None else repr(row["purity_top1"]),
-                "" if row["loss_total"] is None else repr(row["loss_total"]),
-            ]
-            fh.write(",".join(cells_txt) + "\n")
+    cols = ("label", "knn_acc", "purity_top1", "loss_total")
+    _write_csv(table_path, ",".join(cols), ([row[c] for c in cols] for row in rows))
     for row in rows:
         print(f"{row['label']}: knn={row['knn_acc']} loss={row['loss_total']}")
     print(f"table written to {table_path}")
@@ -407,10 +417,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DataFormatError, _binio.FormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (DataFormatError, _binio.FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

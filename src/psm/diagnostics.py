@@ -10,13 +10,11 @@ embeddings with kNN or a small logistic head.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Iterable
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .numerics import check_unit_rows, top_k_indices
+from .numerics import check_unit_rows, softmax, top_k_indices
 
 # Query rows per block of knn_probe and gradient_profile. The block splits
 # the similarity product as well as the selection, so a call holds one
@@ -152,23 +150,27 @@ def knn_probe(
     if train_labels.min() < 0:
         raise ValueError("kNN probe labels must be nonnegative")
     k = min(k_nn, train_emb.shape[0])
-    n_classes = int(train_labels.max()) + 1
+    # votes count on the codes of the sorted distinct labels, so counts grow
+    # with the number of classes, not with the largest label
+    classes, codes = np.unique(train_labels, return_inverse=True)
+    n_classes = len(classes)
     correct = 0
     for start in range(0, test_emb.shape[0], _KNN_BLOCK):
         block = slice(start, start + _KNN_BLOCK)
-        votes = train_labels[top_k_indices(test_emb[block] @ train_emb.T, k)]
+        votes = codes[top_k_indices(test_emb[block] @ train_emb.T, k)]
         rows = votes.shape[0]
-        # per-row label counts via one bincount over (row, label) cells;
-        # argmax takes the first maximum, so vote ties go to the smallest label
+        # per-row code counts via one bincount over (row, code) cells; argmax
+        # takes the first maximum, so vote ties go to the smallest label
         cells = (np.arange(rows)[:, None] * n_classes + votes).ravel()
         counts = np.bincount(cells, minlength=rows * n_classes).reshape(rows, n_classes)
-        correct += int(np.count_nonzero(counts.argmax(axis=1) == test_labels[block]))
+        predicted = classes[counts.argmax(axis=1)]
+        correct += int(np.count_nonzero(predicted == test_labels[block]))
     return correct / test_emb.shape[0]
 
 
 def linear_probe_k(train_labels: np.ndarray, test_labels: np.ndarray) -> int:
     """linear_probe's top-k: 5, or fewer if both splits together hold fewer classes."""
-    return min(5, int(max(np.max(train_labels), np.max(test_labels))) + 1)
+    return min(5, len(np.union1d(train_labels, test_labels)))
 
 
 def linear_probe(
@@ -189,40 +191,21 @@ def linear_probe(
     if train_emb.shape[0] == 0 or test_emb.shape[0] == 0:
         raise ValueError("probe needs nonempty train and test sets")
     n, d = train_emb.shape
-    n_classes = int(max(train_labels.max(), test_labels.max())) + 1
-    w = np.zeros((n_classes, d))
-    b = np.zeros(n_classes)
-    onehot = np.zeros((n, n_classes))
-    onehot[np.arange(n), train_labels] = 1.0
+    # one class per distinct label of either split, fitted on its code
+    both = np.concatenate([train_labels, test_labels])
+    classes, codes = np.unique(both, return_inverse=True)
+    train_codes, test_codes = codes[:n], codes[n:]
+    w = np.zeros((len(classes), d))
+    b = np.zeros(len(classes))
+    onehot = np.zeros((n, len(classes)))
+    onehot[np.arange(n), train_codes] = 1.0
     for _ in range(100):
-        logits = train_emb @ w.T + b
-        logits -= logits.max(axis=1, keepdims=True)
-        p = np.exp(logits)
-        p /= p.sum(axis=1, keepdims=True)
-        g = (p - onehot) / n
+        g = (softmax(train_emb @ w.T + b) - onehot) / n
         w -= g.T @ train_emb
         b -= g.sum(axis=0)
     logits = test_emb @ w.T + b
     order = top_k_indices(logits, linear_probe_k(train_labels, test_labels))
-    top1 = float(np.mean(order[:, 0] == test_labels))
-    topk = float(np.mean((order == test_labels[:, None]).any(axis=1)))
+    top1 = float(np.mean(order[:, 0] == test_codes))
+    topk = float(np.mean((order == test_codes[:, None]).any(axis=1)))
     return top1, topk
 
-
-def write_gradient_profile_csv(profile: GradientProfile, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("rank,mean_norm,var_norm\n")
-        for r in range(profile.rank_depth):
-            fh.write(
-                f"{r + 1},{repr(float(profile.mean_norm[r]))},"
-                f"{repr(float(profile.var_norm[r]))}\n"
-            )
-
-
-def write_purity_csv(
-    rows: Iterable[tuple[int, int, float]], path: str | Path
-) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("epoch,batch,purity\n")
-        for epoch, batch, value in rows:
-            fh.write(f"{epoch},{batch},{repr(float(value))}\n")

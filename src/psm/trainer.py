@@ -27,7 +27,6 @@ by purpose, epoch, and step, never shared across uses.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -161,7 +160,6 @@ class TrainConfig:
 
 @dataclass
 class RunArtifacts:
-    config: TrainConfig
     metrics: list[dict]
     purity_rows: list[tuple[int, int, float]]
     init_knn: float | None
@@ -454,7 +452,6 @@ def pretrain(
             }
         )
     return RunArtifacts(
-        config=cfg,
         metrics=metrics,
         purity_rows=purity_rows,
         init_knn=init_knn,
@@ -487,21 +484,3 @@ def run_ablation_suite(
         )
     return rows
 
-
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float) and not np.isfinite(value):
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def write_metrics_csv(metrics: Sequence[dict], path: str | Path) -> None:
-    """Exact, reproducible text form of the per-epoch metrics."""
-    cols = METRICS_HEADER.split(",")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(METRICS_HEADER + "\n")
-        for row in metrics:
-            fh.write(",".join(_fmt(row.get(c)) for c in cols) + "\n")

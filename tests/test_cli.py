@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from psm import cli
-from psm.data import Dataset, load_csv, save_csv, split_dataset
+from psm.data import Dataset, gen_clusters, load_csv, save_csv, split_dataset
 from psm.memory_bank import MemoryBank, load_bank, query_topk, save_bank
 from psm.network import load_checkpoint, save_checkpoint
 from psm.numerics import RngState, l2_normalize_rows
@@ -148,6 +148,29 @@ class TestPretrain:
             "summary.json",
         ):
             assert (out / name).read_bytes() == (mini_run / name).read_bytes(), name
+
+    def test_sparse_csv_labels_run_like_dense_ones(self, tmp_path, heads_config, capsys):
+        # class 2 labelled 10**15: training, its kNN probes and both probe
+        # modes see the same three classes as with labels 0, 1, 2
+        ds = gen_clusters(3, 16, 8, 6.0, seed=3, split="train")
+        sparse = np.array([0, 1, 10**15])[ds.labels]
+        runs, probes = {}, {}
+        for name, labels in (("dense", ds.labels), ("sparse", sparse)):
+            path = tmp_path / f"{name}.csv"
+            save_csv(Dataset(ds.features, labels), path)
+            out = runs[name] = tmp_path / name
+            argv = ["pretrain", "--data", str(path), "--epochs", "2", "--warmup", "0",
+                    "--batch", "16", "--config", str(heads_config), "--out", str(out)]
+            assert cli.main(argv) == 0
+            capsys.readouterr()
+            probe = ["probe", "--checkpoint", str(out / "checkpoint.psmc"), "--data", str(path)]
+            for mode in ("knn", "linear"):
+                assert cli.main([*probe, "--mode", mode]) == 0
+            probes[name] = capsys.readouterr().out
+        for name in ("metrics.csv", "purity.csv", "checkpoint.psmc"):
+            assert (runs["dense"] / name).read_bytes() == (runs["sparse"] / name).read_bytes()
+        assert probes["dense"] == probes["sparse"]
+        assert "top3=" in probes["sparse"]
 
     def test_cli_overrides_beat_config_file(self, tmp_path, heads_config):
         cfg = tmp_path / "cfg.json"
@@ -291,6 +314,20 @@ class TestExitCodes:
         assert code == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--t", "1e-300"], "non-finite activations in encoder layer 0"),
+            (["--lambda", "1e308"], "non-finite loss at epoch 1 step 0"),
+        ],
+        ids=["t_tiny", "lambda_huge"],
+    )
+    def test_training_failure_writes_no_file(self, tmp_path, capsys, extra, message):
+        out = tmp_path / "run"
+        assert cli.main(["pretrain", *_SMALL, *extra, "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert list(out.iterdir()) == []  # the directory is made first, then left empty
+
     def test_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"bogus": 1}))
@@ -405,6 +442,24 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as excinfo:
             cli.main(argv)
         assert excinfo.value.code == 1
+
+
+class TestRunFiles:
+    def test_every_cell_follows_one_rule(self, tmp_path):
+        path = tmp_path / "t.csv"
+        row = [None, float("nan"), np.float64(-np.inf), 0.1 + 0.2, np.float64(0.1),
+               np.float32(0.5), 3, np.int64(4), "k=1", True]
+        cli._write_csv(path, "a,b,c,d,e,f,g,h,i,j", [row, []])
+        assert path.read_text(encoding="utf-8") == (
+            "a,b,c,d,e,f,g,h,i,j\n,,,0.30000000000000004,0.1,0.5,3,4,k=1,True\n\n"
+        )
+
+    def test_json_is_sorted_and_indented(self, tmp_path):
+        path = tmp_path / "t.json"
+        cli._write_json(path, {"b": [1, 2], "a": {"d": None, "c": 0.5}})
+        assert path.read_text(encoding="utf-8") == json.dumps(
+            {"a": {"c": 0.5, "d": None}, "b": [1, 2]}, indent=2
+        ) + "\n"
 
 
 class TestProbe:

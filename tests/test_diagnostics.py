@@ -3,15 +3,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from psm.cli import _write_csv
+from psm.data import gen_clusters
 from psm.diagnostics import (
     GradientProfile,
     bce_gradient_coefficient,
     gradient_profile,
     knn_probe,
     linear_probe,
+    linear_probe_k,
     purity,
-    write_gradient_profile_csv,
-    write_purity_csv,
 )
 from psm.numerics import RngState, l2_normalize_rows
 
@@ -267,6 +268,22 @@ class TestKnnProbe:
         peak = _peak_traced_bytes(knn_probe, train, labels, test, labels[:400], k_nn=20)
         assert peak < 400 * 3000 * 8 / 4
 
+    def test_sparse_labels_vote_like_dense_ones(self):
+        # the brute-force test's tied votes, with labels 0, 7 and 10**15: the
+        # counts do not grow with the largest label, and ties still go to
+        # the smallest one
+        rng = RngState(0)
+        dirs = l2_normalize_rows(rng.normal((6, 4)))
+        train = dirs[rng.integers(0, 6, size=90)]
+        labels = rng.integers(0, 3, size=90)
+        test = dirs[rng.integers(0, 6, size=300)]
+        test_labels = rng.integers(0, 3, size=300)
+        sparse = np.array([0, 7, 10**15])
+        for k_nn in (1, 4, 20, 200):
+            dense = knn_probe(train, labels, test, test_labels, k_nn=k_nn)
+            got = knn_probe(train, sparse[labels], test, sparse[test_labels], k_nn=k_nn)
+            assert got == dense
+
     def test_negative_labels_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             knn_probe(np.eye(2), np.array([0, -1]), np.eye(2), np.array([0, 1]))
@@ -303,6 +320,19 @@ class TestLinearProbe:
         _, topk = linear_probe(emb, labels, emb, labels)
         assert topk == pytest.approx(1.0)
 
+    def test_sparse_labels_fit_like_dense_ones(self):
+        # overlapping clusters, so top-1 is below 1; the weights hold one row
+        # per distinct label, so label 10**15 costs what label 2 does
+        train = gen_clusters(3, 30, 8, 1.0, seed=4, split="train")
+        test = gen_clusters(3, 10, 8, 1.0, seed=4, split="test")
+        sparse = np.array([0, 7, 10**15])
+        dense = linear_probe(train.features, train.labels, test.features, test.labels)
+        got = linear_probe(
+            train.features, sparse[train.labels], test.features, sparse[test.labels]
+        )
+        assert got == dense and dense[0] < 1.0
+        assert linear_probe_k(sparse[train.labels], sparse[test.labels]) == 3
+
     def test_empty_sets_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):
             linear_probe(np.zeros((0, 2)), np.zeros(0), np.eye(2), np.array([0, 1]))
@@ -317,14 +347,15 @@ class TestCsvWriters:
             rank_depth=2,
         )
         path = tmp_path / "g.csv"
-        write_gradient_profile_csv(profile, path)
+        rows = zip((1, 2), profile.mean_norm, profile.var_norm)
+        _write_csv(path, "rank,mean_norm,var_norm", rows)
         assert path.read_text(encoding="utf-8") == (
             "rank,mean_norm,var_norm\n1,1.0,1.0\n2,0.75,0.5\n"
         )
 
     def test_purity_rows(self, tmp_path):
         path = tmp_path / "p.csv"
-        write_purity_csv([(1, 0, 0.5), (1, 1, 1.0)], path)
+        _write_csv(path, "epoch,batch,purity", [(1, 0, 0.5), (1, 1, 1.0)])
         assert path.read_text(encoding="utf-8") == (
             "epoch,batch,purity\n1,0,0.5\n1,1,1.0\n"
         )

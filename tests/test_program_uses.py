@@ -10,6 +10,10 @@ such as ``__all__`` are read by Python itself and are exempt.
 Likewise every defaulted parameter of a function or method in src/psm/ is
 passed by some program call, by position, by keyword or by unpacking: a
 default no caller overrides is a constant, and belongs in the body.
+
+And a command's text files come from one place: cli's CSV and JSON
+writers, the dataset CSV's saver and the two binary formats' savers are the
+only functions in src/psm/ that open a file for writing.
 """
 
 import ast
@@ -187,4 +191,54 @@ def test_the_parameter_check_sees_every_way_to_pass():
     ]
     assert _unpassed([("src/m.py", module + "f(0, z=1, **{})\nC(0, *[])\nm(**{})\n")]) == [
         "src/m.py:inner(e)",
+    ]
+
+
+def _opens_for_writing(call: ast.Call) -> bool:
+    """An ``open`` whose mode may write (a mode that is not a literal counts),
+    or a Path's ``write_text`` or ``write_bytes``."""
+    if _callee(call) in ("write_text", "write_bytes"):
+        return True
+    if not (isinstance(call.func, ast.Name) and call.func.id == "open"):
+        return False
+    modes = call.args[1:2] + [k.value for k in call.keywords if k.arg == "mode"]
+    if not modes:
+        return False
+    mode = modes[0]
+    return not isinstance(mode, ast.Constant) or any(c in mode.value for c in "wax+")
+
+
+def _file_writers(sources=None) -> list[str]:
+    return sorted(
+        f"{rel}:{fn.name}"
+        for rel, text in sources or _program_sources() if rel.startswith("src/")
+        for fn in ast.walk(ast.parse(text))
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(isinstance(n, ast.Call) and _opens_for_writing(n) for n in ast.walk(fn))
+    )
+
+
+def test_only_the_writers_open_files_for_writing():
+    assert _file_writers() == [
+        "src/psm/cli.py:_write_csv",
+        "src/psm/cli.py:_write_json",
+        "src/psm/data.py:save_csv",
+        "src/psm/memory_bank.py:save_bank",
+        "src/psm/network.py:save_checkpoint",
+    ]
+
+
+def test_the_writer_check_sees_every_way_to_write():
+    module = (
+        "def a(p):\n    open(p, 'w')\n"
+        "def b(p):\n    open(p, mode='ab')\n"
+        "def c(p, m):\n    open(p, m)\n"
+        "def d(p):\n    p.write_text('')\n"
+        "def e(p):\n    p.write_bytes(b'')\n"
+        "def f(p):\n    open(p, 'r+')\n"
+        "def g(p):\n    return open(p).read() + open(p, 'rb').read()\n"
+        "def h(p):\n    return p.read_text()\n"
+    )
+    assert _file_writers([("src/m.py", module)]) == [
+        "src/m.py:a", "src/m.py:b", "src/m.py:c", "src/m.py:d", "src/m.py:e", "src/m.py:f",
     ]

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from psm.cli import _write_csv
 from psm.data import gen_clusters
 from psm.memory_bank import MemoryBank
 from psm.network import (
@@ -28,7 +29,6 @@ from psm.trainer import (
     _psm_pass,
     pretrain,
     run_ablation_suite,
-    write_metrics_csv,
 )
 
 
@@ -661,6 +661,12 @@ class TestAblation:
         assert cell.strategy == "V2" and base.strategy == "V0"
 
 
+def _metric_cells(rows):
+    """Each metrics dict's values in METRICS_HEADER order, as cmd_pretrain writes them."""
+    cols = METRICS_HEADER.split(",")
+    return [[row.get(c) for c in cols] for row in rows]
+
+
 class TestMetricsCsv:
     def test_none_and_nan_become_empty_cells(self, tmp_path):
         rows = [
@@ -677,7 +683,7 @@ class TestMetricsCsv:
             }
         ]
         path = tmp_path / "m.csv"
-        write_metrics_csv(rows, path)
+        _write_csv(path, METRICS_HEADER, _metric_cells(rows))
         assert path.read_text(encoding="utf-8") == (
             METRICS_HEADER + "\n1,0.5,1.5,,,0.25,,2.0,\n"
         )
@@ -686,6 +692,6 @@ class TestMetricsCsv:
         value = 0.1 + 0.2
         rows = [{"epoch": 1, "lr": value, "loss_total": value}]
         path = tmp_path / "m.csv"
-        write_metrics_csv(rows, path)
+        _write_csv(path, METRICS_HEADER, _metric_cells(rows))
         cell = path.read_text(encoding="utf-8").splitlines()[1].split(",")[1]
         assert float(cell) == value

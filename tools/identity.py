@@ -11,6 +11,9 @@ one thread, at most two at a time:
   ``--strategy V2``, a config with ``{"bn": false}`` and ``allflags``, which
   sets every other ``pretrain`` flag (``--k 3 --a 1.5 --lambda 0.5 --t 0.3
   --bank 700 --probe-every 2 --span mined_only --no-hard``);
+* a 4-epoch ``--data`` run on a CSV the tool writes: 300 rows, 8
+  features, three overlapping classes labelled 0, 2 and 5, so the CSV
+  reader, the seeded split and labels that skip values are compared too;
 * one 2-epoch ``ablate --axis lambda --values 0.5,1`` sweep on the
   ``c4,d32,n128,sep2`` data;
 * odd shapes: 4-epoch ``c3,d13,n200,sep2 --batch 13`` runs with encoder
@@ -18,7 +21,7 @@ one thread, at most two at a time:
   ``--baseline``;
 * ``probe`` (knn, linear) and ``diagnose`` (purity, gradients) on the plain
   and ``--baseline`` checkpoints of both data shapes, on the ``allflags``
-  checkpoint, and on the plain odd checkpoint with ``c3,d13,n172,sep2``
+  and CSV checkpoints, and on the plain odd checkpoint with ``c3,d13,n172,sep2``
   data, whose 129 test rows leave a lone row after four 32-row evaluation
   blocks;
 * one round of psmbench's ``analyse`` workload at seeds 101, 102 and 103,
@@ -52,12 +55,15 @@ import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 SMALL_DATA = ["--synthetic", "c4,d32,n128,sep2", "--seed", "3"]
 SMALL = [*SMALL_DATA, "--epochs", "4", "--warmup", "1"]
 ODD_DATA = ["--synthetic", "c3,d13,n200,sep2", "--seed", "3"]
 ODD = [*ODD_DATA, "--epochs", "4", "--warmup", "1", "--batch", "13", "--config", "{odd}"]
+CSV_DATA = ["--data", "{csv}", "--seed", "3"]
 CONFIGS = {
     "nobn": {"bn": False},
     "odd": {"encoder": [19, 37], "projector": [19, 13], "predictor": [19, 13]},
@@ -76,6 +82,7 @@ RUNS = {
     ],
     "odd": ODD,
     "odd_baseline": [*ODD, "--baseline"],
+    "csv": [*CSV_DATA, "--epochs", "4", "--warmup", "1"],
 }
 ABLATE = ["ablate", *SMALL_DATA, "--axis", "lambda", "--values", "0.5,1", "--epochs", "2"]
 FULL_RUNS = {"ref": ["--synthetic", "c4,d32,n512,sep6", "--epochs", "100", "--seed", "7"]}
@@ -87,6 +94,7 @@ READ_FROM = {
     "odd": ("odd", ODD_DATA),
     "odd_baseline": ("odd_baseline", ODD_DATA),
     "odd_lone_row": ("odd", ["--synthetic", "c3,d13,n172,sep2", "--seed", "3"]),
+    "csv": ("csv", CSV_DATA),
 }
 READS = {
     "probe_knn": ["probe", "--mode", "knn"],
@@ -115,6 +123,17 @@ print(f"failed calls: {outcome.failed}", outcome.error, sep="\\n")
 '''
 
 
+def labels_csv() -> str:
+    """The ``--data`` run's dataset: 100 rows each of labels 0, 2 and 5."""
+    rng = np.random.default_rng(11)
+    labels = np.repeat([0, 2, 5], 100)
+    means = rng.normal(size=(3, 8))
+    features = means[np.repeat([0, 1, 2], 100)] + rng.normal(size=(300, 8))
+    lines = [",".join(["label", *(f"f{j}" for j in range(8))])]
+    lines += [",".join([str(y), *map(repr, row)]) for y, row in zip(labels, features.tolist())]
+    return "\n".join(lines) + "\n"
+
+
 def unpack(rev: str, dest: Path) -> None:
     """Write the tree of ``rev`` into ``dest``."""
     tar = subprocess.run(
@@ -130,7 +149,8 @@ def psm(tree: Path, out: Path, name: str, argv: list[str]) -> None:
     out.mkdir(parents=True, exist_ok=True)
     env = {**os.environ, **ENV, "PYTHONPATH": str(tree / "src")}
     configs = {name: out.parent / f"{name}.json" for name in CONFIGS}
-    argv = [a.format(dir=out, **configs) for a in argv]
+    # relative to the call's directory, so summary.json names it alike in both trees
+    argv = [a.format(dir=out, csv="../labels.csv", **configs) for a in argv]
     proc = subprocess.run(
         [sys.executable, "-m", "psm.cli", *argv], cwd=out, env=env,
         capture_output=True, text=True,
@@ -159,6 +179,7 @@ def run_matrix(trees: dict[str, Path], work: Path, full: bool) -> None:
         (work / side).mkdir(parents=True)
         for name, config in CONFIGS.items():
             (work / side / f"{name}.json").write_text(json.dumps(config))
+        (work / side / "labels.csv").write_text(labels_csv())
     with ThreadPoolExecutor(max_workers=2) as pool:
         jobs = [
             pool.submit(psm, trees[side], work / side / name, "pretrain",
