@@ -148,10 +148,15 @@ def load_csv(path: str | Path) -> Dataset:
                 f"{path}: line {ln}: expected {dim + 1} fields, got {len(parts)}"
             )
         try:
-            labels.append(int(parts[0]))
+            label = int(parts[0])
             rows.append([float(v) for v in parts[1:]])
         except ValueError as exc:
             raise DataFormatError(f"{path}: line {ln}: {exc}") from exc
+        if label < 0:
+            raise DataFormatError(f"{path}: line {ln}: negative label")
+        if label >= 2**63:
+            raise DataFormatError(f"{path}: line {ln}: label {label} does not fit int64")
+        labels.append(label)
         line_nos.append(ln)
     if not rows:
         raise DataFormatError(f"{path}: no data rows")
@@ -160,11 +165,7 @@ def load_csv(path: str | Path) -> Dataset:
     if bad.any():
         ln = line_nos[int(np.argmax(bad))]
         raise DataFormatError(f"{path}: line {ln}: non-finite feature value")
-    labels = np.array(labels, dtype=np.int64)
-    if (labels < 0).any():
-        ln = line_nos[int(np.argmax(labels < 0))]
-        raise DataFormatError(f"{path}: line {ln}: negative label")
-    return Dataset(features=features, labels=labels)
+    return Dataset(features=features, labels=np.array(labels, dtype=np.int64))
 
 
 def split_dataset(

@@ -146,6 +146,8 @@ def iter_trainable(params: NetworkParams, heads=HEADS):
                 yield f"{head}.{li}.{name}", getattr(layer, name)
 
 
+# an overflow is reported by _check_finite, not by a NumPy warning first
+@np.errstate(over="ignore", invalid="ignore")
 def _head_forward(cfg, layers, x, head, train):
     """Run one head on (B, in) or (V, B, in); returns (output, cache or None).
 

@@ -12,9 +12,11 @@ pool with a query's k+1 members as its P positives, the hard pool (and
 the baseline) with the other view alone, P = 1 and weight 1. It returns
 the analytic gradient with respect to the raw (pre-normalization)
 prediction rows q1; every other embedding, and the weights themselves,
-are treated as constants. That stop-gradient boundary matches the
+are treated as constants. For PSM that stop-gradient boundary matches the
 asymmetric online/target design: the target branch never receives
-gradient.
+gradient. The baseline's positives and candidates come from the online
+network it trains, so there the boundary drops part of its loss's
+gradient; that is a known defect (ROADMAP item 3).
 
 Weighting strategies:
   V0  softmax weights as computed

@@ -1,24 +1,26 @@
-"""Training orchestration: the full mining pipeline, a baseline, ablations.
+"""Training orchestration: one contrastive step in two modes, and ablations.
 
-Per step the pipeline runs: two views, online and target forwards, top-k
-neighbor mining for every query, soft weighting, the negative pools
-(target projections of both views of the other samples for the hard loss,
-the other queries' neighbor members for the soft loss), each a dense
-(query x candidate) boolean mask that optional Bernoulli filtering thins
-in place, the combined loss, manual backprop, SGD, the EMA
-target update, and finally the bank enqueue. Enqueue happens strictly
-after querying, so a sample's own view never shows up among its mined
-neighbors; the view is already member 0 by construction.
+A step stacks its two views (2, B, in) and runs one online pass, one
+backward, one batch-norm commit and SGD. Direction v queries view v against
+the other view's keys, the 2B stacked keys are the hard pool's candidates,
+and a step averages its directions. Each pool is a dense (query x
+candidate) boolean mask that negative mining thins in place.
 
-The baseline mode is a symmetric two-view InfoNCE over in-batch negatives
-with a single shared encoder+projector: no EMA, no bank, and the predictor
-is neither run nor trained, so all its tensors keep their initial values.
-Negative mining plugs into it unchanged.
+* PSM (the default): keys are target projections, queries the predictor
+  outputs q1, and direction 1 runs only under --symmetrize. A direction
+  adds a soft pool over the top-k bank neighbors of its keys to the hard
+  pool: the loss is soft + lambda * hard. The EMA update and the bank
+  enqueue follow SGD, strictly after querying, so a sample's own view is
+  never among its mined neighbors (it is member 0 by construction).
+* Baseline (--baseline): symmetric two-view InfoNCE over in-batch
+  negatives. Queries and keys are the same online projections z1, both
+  directions run, and the hard pool at weight 1 is the whole loss. No EMA,
+  no bank; the predictor is neither run nor trained, so it keeps its
+  initial values. It ignores --k, --lambda, --bank, --strategy, --span,
+  --no-soft, --no-hard and --symmetrize.
 
-A step stacks its views (2, B, in) and runs one online pass on both (the
-baseline, --symmetrize) or on the first, then one backward and one batch-norm
-commit. Loss direction v queries view v against the other view; a step
-averages its directions.
+Both modes treat the keys as constants in the gradient; for the baseline,
+whose keys come from the network it trains, that is a known defect.
 
 Everything is deterministic in (config, dataset): rng substreams are keyed
 by purpose, epoch, and step, never shared across uses.
@@ -250,39 +252,51 @@ def _masked_nce(
     return weighted_nce_csr(q, pos, w, t, cands, idx, _offsets(neg))
 
 
-def _psm_pass(
+def _pass(
     cfg: TrainConfig,
-    bank: MemoryBank,
+    bank: MemoryBank | None,
     z1: np.ndarray,
-    q1: np.ndarray,
+    q: np.ndarray,
     pos_view: np.ndarray,
-    cands_hard: np.ndarray,
+    keys: np.ndarray,
     labels: np.ndarray,
-    rng_pnsm: RngState,
+    rng: RngState,
 ) -> _StepEval:
-    """One direction: a view's online z1/q1 rows against target positives."""
-    bsz = q1.shape[0]
+    """One direction: queries ``q`` against the other view's keys ``pos_view``.
+
+    The hard pool's candidates are the 2B stacked ``keys``. Without a bank
+    (the baseline) that pool is the whole loss at weight 1 and draws from
+    ``rng`` itself. With one, it runs when ``use_hard`` is on and draws from
+    ``rng.split("hard")``; then the soft pool over each query's bank
+    neighbours of ``pos_view`` follows, and the loss is soft + lam * hard.
+    """
+    bsz = q.shape[0]
+    hard = None
+    if bank is None or cfg.use_hard:
+        owner = np.tile(np.arange(bsz), 2)
+        hard_rng = rng if bank is None else rng.split("hard")
+        neg = _pool_mask(cfg, q, pos_view, keys, owner, hard_rng)
+        hard = _masked_nce(q, pos_view[:, None], np.ones((bsz, 1)), keys, neg, cfg.t)
+    if bank is None:
+        nan = float("nan")
+        return _StepEval(hard.value, nan, nan, hard.grad_q, float(hard.neg_counts.mean()))
+
     members, nb_idx, _, k_eff = query_topk_batch(bank, pos_view, cfg.k)
     p_count = k_eff + 1
     weights = soft_weights(z1, members, cfg.weight_span)
     weights = apply_weight_strategy(weights, cfg.strategy, k_eff)
-
     # A disabled pool adds a zero value and a zero gradient.
     soft_value = hard_value = 0.0
     soft_grad = hard_grad = 0.0
     retained = 0.0
-    if cfg.use_hard:
-        owner = np.tile(np.arange(bsz), 2)
-        neg = _pool_mask(cfg, q1, pos_view, cands_hard, owner, rng_pnsm.split("hard"))
-        pos, w = pos_view[:, None], np.ones((bsz, 1))
-        hard = _masked_nce(q1, pos, w, cands_hard, neg, cfg.t)
+    if hard is not None:
         hard_value, hard_grad = hard.value, hard.grad_q
         retained += float(hard.neg_counts.mean())
     if cfg.use_soft:
         cands_soft = members.reshape(bsz * p_count, -1)
         owner = np.repeat(np.arange(bsz), p_count)
-        neg = _pool_mask(cfg, q1, pos_view, cands_soft, owner, rng_pnsm.split("soft"))
-        soft = _masked_nce(q1, members, weights, cands_soft, neg, cfg.t)
+        neg = _pool_mask(cfg, q, pos_view, cands_soft, owner, rng.split("soft"))
+        soft = _masked_nce(q, members, weights, cands_soft, neg, cfg.t)
         soft_value, soft_grad = soft.value, soft.grad_q
         retained += float(soft.neg_counts.mean())
 
@@ -301,11 +315,11 @@ def _psm_pass(
     )
 
 
-def _evaluate_psm_step(
+def _evaluate_step(
     cfg: TrainConfig,
     params: NetworkParams,
-    target: NetworkParams,
-    bank: MemoryBank,
+    target: NetworkParams | None,
+    bank: MemoryBank | None,
     views: np.ndarray,
     labels: np.ndarray,
     epoch: int,
@@ -314,47 +328,31 @@ def _evaluate_psm_step(
 ) -> tuple[_StepEval, NDArray[np.float64]]:
     """Pure loss evaluation for one step; returns the eval and the enqueue view.
 
-    Direction v queries view v against the other view's target projection.
+    Direction v queries view v against the other view's keys. The baseline
+    (no bank) runs both directions, and its queries and keys are the same
+    online projections z1. PSM keys are the target projections, its queries
+    the predictor outputs q1, and it runs direction 1 only under symmetrize.
     """
     bsz = views.shape[1]
-    # one pass over the 2B stacked rows (two B-row passes can round differently)
-    cands_hard = forward_target(target, views.reshape(2 * bsz, -1))
-    z2 = cands_hard.reshape(2, bsz, -1)
-    n_dirs = 2 if cfg.symmetrize else 1
-    z1, q1, cache = forward_online(params, views[:n_dirs])
+    if bank is None:
+        z1, cache = forward_projection(params, views)
+        q1, keys = z1, z1.reshape(2 * bsz, -1)
+        n_dirs = 2
+    else:
+        # one pass over the 2B stacked rows (two B-row passes can round differently)
+        keys = forward_target(target, views.reshape(2 * bsz, -1))
+        n_dirs = 2 if cfg.symmetrize else 1
+        z1, q1, cache = forward_online(params, views[:n_dirs])
+    z2 = keys.reshape(2, bsz, -1)
     rng_pnsm = root.split("pnsm", epoch, step)
     dirs = [
-        _psm_pass(
-            cfg, bank, z1[v], q1[v], z2[1 - v], cands_hard, labels,
-            rng_pnsm.split("pass", v) if v else rng_pnsm,
+        _pass(
+            cfg, bank, z1[v], q1[v], z2[1 - v], keys, labels,
+            rng_pnsm.split("pass", v) if v or bank is None else rng_pnsm,
         )
         for v in range(n_dirs)
     ]
     return _mean_over_directions(dirs, cache), z2[1]
-
-
-def _evaluate_baseline_step(
-    cfg: TrainConfig,
-    params: NetworkParams,
-    views: np.ndarray,
-    epoch: int,
-    step: int,
-    root: RngState,
-) -> _StepEval:
-    """Symmetric two-view InfoNCE over in-batch negatives, shared encoder."""
-    z1, cache = forward_projection(params, views)
-    bsz = z1.shape[1]
-    cands = z1.reshape(2 * bsz, -1)
-    owner = np.tile(np.arange(bsz), 2)
-    rng_pnsm = root.split("pnsm", epoch, step)
-    dirs, nan = [], float("nan")
-    for v in range(2):
-        q, pos = z1[v], z1[1 - v]
-        neg = _pool_mask(cfg, q, pos, cands, owner, rng_pnsm.split("pass", v))
-        out = _masked_nce(q, pos[:, None], np.ones((bsz, 1)), cands, neg, cfg.t)
-        retained = float(out.neg_counts.mean())
-        dirs.append(_StepEval(out.value, nan, nan, out.grad_q, retained))
-    return _mean_over_directions(dirs, cache)
 
 
 def _probe(params: NetworkParams, train_ds: Dataset, test_ds: Dataset, k_nn: int) -> float:
@@ -375,7 +373,6 @@ def pretrain(
     The kNN probe columns populate at every probe_every-th epoch and the
     final one, and only when a test set is supplied.
     """
-    baseline = cfg.baseline
     steps_per_epoch = cfg.steps_per_epoch(train_ds.n)
     root = RngState(cfg.seed)
     net_cfg = NetworkConfig(
@@ -386,11 +383,11 @@ def pretrain(
         bn=cfg.bn,
     )
     params = init_params(net_cfg, root.split("net"))
-    target = None if baseline else copy_params(params)
-    opt = cfg.optimizer()
-    bank = None
-    if not baseline:
+    target = bank = None
+    if not cfg.baseline:
+        target = copy_params(params)
         bank = MemoryBank(cfg.bank_capacity, cfg.projector[-1], with_labels=True)
+    opt = cfg.optimizer()
 
     init_knn = _probe(params, train_ds, test_ds, cfg.probe_knn) if test_ds else None
     metrics: list[dict] = []
@@ -408,20 +405,16 @@ def pretrain(
             sel = perm[step * cfg.batch_size : (step + 1) * cfg.batch_size]
             x, y = feats[sel], labels[sel]
             views = np.stack(two_views(x, cfg.augment, root.split("aug", epoch, step)))
-            if baseline:
-                ev = _evaluate_baseline_step(cfg, params, views, epoch, step, root)
-                enqueue_view = None
-            else:
-                ev, enqueue_view = _evaluate_psm_step(
-                    cfg, params, target, bank, views, y, epoch, step, root
-                )
+            ev, enqueue_view = _evaluate_step(
+                cfg, params, target, bank, views, y, epoch, step, root
+            )
             if not np.isfinite(ev.loss):
                 raise ValueError(f"non-finite loss at epoch {epoch} step {step}")
             grads = backward(params, ev.cache, ev.grad)
             commit_bn_stats(params, ev.cache)
             lr = lr_at(opt, (epoch - 1) + step / steps_per_epoch)
             sgd_step(params, grads, opt, lr)
-            if not baseline:
+            if bank is not None:
                 ema_update(target, params, cfg.ema_momentum)
                 bank.enqueue_batch(enqueue_view, y)
             acc["total"] += ev.loss
@@ -443,8 +436,8 @@ def pretrain(
                 "epoch": epoch,
                 "lr": lr_row,
                 "loss_total": acc["total"] / steps_per_epoch,
-                "loss_soft": None if baseline else acc["soft"] / steps_per_epoch,
-                "loss_hard": None if baseline else acc["hard"] / steps_per_epoch,
+                "loss_soft": None if cfg.baseline else acc["soft"] / steps_per_epoch,
+                "loss_hard": None if cfg.baseline else acc["hard"] / steps_per_epoch,
                 "purity_top1": float(np.mean(pur1)) if pur1 else None,
                 "purity_topk": float(np.mean(purk)) if purk else None,
                 "neg_retained_mean": acc["retained"] / steps_per_epoch,

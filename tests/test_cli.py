@@ -317,10 +317,15 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "extra, message",
         [
-            (["--t", "1e-300"], "non-finite activations in encoder layer 0"),
-            (["--lambda", "1e308"], "non-finite loss at epoch 1 step 0"),
+            # the program's own message comes first, with no NumPy warning before it
+            pytest.param(
+                ["--t", "1e-300"], "non-finite activations in encoder layer 0",
+                id="t_tiny", marks=pytest.mark.filterwarnings("error"),
+            ),
+            pytest.param(
+                ["--lambda", "1e308"], "non-finite loss at epoch 1 step 0", id="lambda_huge"
+            ),
         ],
-        ids=["t_tiny", "lambda_huge"],
     )
     def test_training_failure_writes_no_file(self, tmp_path, capsys, extra, message):
         out = tmp_path / "run"
@@ -427,6 +432,15 @@ class TestExitCodes:
         assert code == 2
         assert not out.exists()
         assert "line 19: negative label" in capsys.readouterr().err
+
+    def test_label_beyond_int64_data_csv(self, tmp_path, capsys):
+        path = tmp_path / "huge.csv"
+        path.write_text("label,f0,f1\n0,1.0,2.0\n100000000000000000000,3.0,4.0\n1,5.0,6.0\n")
+        out = tmp_path / "o"
+        code = cli.main(["pretrain", "--data", str(path), "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+        assert "line 3: label 100000000000000000000 does not fit int64" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv",

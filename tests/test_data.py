@@ -169,6 +169,14 @@ class TestCsv:
         with pytest.raises(DataFormatError, match="line 4: negative label"):
             load_csv(path)
 
+    def test_label_must_fit_int64(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text(f"label,f0\n{2**63 - 1},1.0\n")
+        assert load_csv(path).labels[0] == 2**63 - 1
+        path.write_text(f"label,f0\n0,1.0\n{2**63},2.0\n")
+        with pytest.raises(DataFormatError, match=f"line 3: label {2**63} does not fit int64"):
+            load_csv(path)
+
     def test_bad_header(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("foo,f0,f1\n0,1.0,2.0\n")

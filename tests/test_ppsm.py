@@ -15,7 +15,7 @@ from psm.ppsm import (
     nce_loss_grad,
     soft_weights,
 )
-from psm.trainer import TrainConfig, _masked_nce, _psm_pass
+from psm.trainer import TrainConfig, _masked_nce, _pass
 
 
 def _vec_with_sim(s):
@@ -279,7 +279,7 @@ class TestSoftLoss:
 
 
 def _one_pass(cfg):
-    """trainer._psm_pass on a small network's online rows and a warm bank."""
+    """trainer._pass on a small network's online rows and a warm bank."""
     rng = RngState(9)
     params = init_params(
         NetworkConfig(in_dim=6, encoder=(8, 6), projector=(6, 5), predictor=(6, 5)),
@@ -291,7 +291,7 @@ def _one_pass(cfg):
     z2a, z2b = (l2_normalize_rows(rng.split("z", i).normal((4, 5))) for i in (1, 2))
     cands_hard = np.concatenate([z2a, z2b])
     z1, q1, _ = forward_online(params, x)
-    return _psm_pass(
+    return _pass(
         cfg, bank, z1, q1, z2b, cands_hard, np.arange(4) % 3, rng.split("pnsm")
     )
 

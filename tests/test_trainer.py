@@ -8,6 +8,7 @@ from psm.data import gen_clusters
 from psm.memory_bank import MemoryBank
 from psm.network import (
     HEADS,
+    LAYER_FIELDS,
     NetworkConfig,
     backward,
     commit_bn_stats,
@@ -22,11 +23,10 @@ from psm.numerics import RngState, l2_normalize_rows
 from psm.trainer import (
     METRICS_HEADER,
     TrainConfig,
-    _evaluate_baseline_step,
-    _evaluate_psm_step,
+    _evaluate_step,
     _masked_nce,
+    _pass,
     _pool_mask,
-    _psm_pass,
     pretrain,
     run_ablation_suite,
 )
@@ -202,10 +202,10 @@ class TestSwapInvariance:
         x1 = x + 0.05
         x2 = x - 0.05
         labels = np.arange(16, dtype=np.int64) % 4
-        ev_a, _ = _evaluate_psm_step(
+        ev_a, _ = _evaluate_step(
             cfg, params, target, bank, np.stack([x1, x2]), labels, 1, 0, RngState(9)
         )
-        ev_b, _ = _evaluate_psm_step(
+        ev_b, _ = _evaluate_step(
             cfg, params, target, bank, np.stack([x2, x1]), labels, 1, 0, RngState(9)
         )
         assert ev_a.loss == pytest.approx(ev_b.loss, abs=1e-9)
@@ -231,7 +231,7 @@ def _tiny_psm_step(symmetrize, use_pnsm):
     x = gen_clusters(4, 4, 8, 6.0, seed=6).features
     cfg = _mini_cfg(symmetrize=symmetrize, use_pnsm=use_pnsm, k=3)
     labels = np.arange(16, dtype=np.int64) % 4
-    _evaluate_psm_step(
+    _evaluate_step(
         cfg, params, copy_params(params), bank, np.stack([x + 0.05, x - 0.05]), labels,
         1, 0, RngState(9),
     )
@@ -365,7 +365,7 @@ class TestPoolLayout:
         x = gen_clusters(4, 4, 8, 6.0, seed=6).features
         cfg = _mini_cfg(baseline=True, use_pnsm=mining)
         views = np.stack([x + 0.05, x - 0.05])
-        _evaluate_baseline_step(cfg, params, views, 1, 0, RngState(9))
+        _evaluate_step(cfg, params, None, None, views, None, 1, 0, RngState(9))
         self._check(calls, mining, n_pools=2)
 
 
@@ -430,6 +430,28 @@ class TestBaseline:
         ):
             np.testing.assert_array_equal(ta, tb)
 
+    def test_pool_switches_are_ignored(self, mini_data):
+        """The baseline is the hard pool alone, in both directions, at weight 1."""
+        train, test = mini_data
+        plain = pretrain(_baseline_cfg(a=2.0), train, test)
+        switched = pretrain(
+            _mini_cfg(
+                baseline=True, a=2.0, lam=0.5, use_soft=False, use_hard=False,
+                symmetrize=True, strategy="V2", weight_span="mined_only",
+            ),
+            train,
+            test,
+        )
+        assert switched.metrics == plain.metrics
+        assert (switched.init_knn, switched.final_knn) == (plain.init_knn, plain.final_knn)
+        for head in HEADS:
+            for la, lb in zip(plain.params.head(head), switched.params.head(head)):
+                for name in LAYER_FIELDS:
+                    np.testing.assert_array_equal(getattr(la, name), getattr(lb, name))
+        assert switched.opt.buffers.keys() == plain.opt.buffers.keys()
+        for key, buf in plain.opt.buffers.items():
+            np.testing.assert_array_equal(switched.opt.buffers[key], buf, err_msg=key)
+
     def test_mining_changes_the_baseline(self, mini_data):
         train, _ = mini_data
         mined = pretrain(_baseline_cfg(a=2.0), train)
@@ -451,7 +473,8 @@ class TestBaselineForward:
         x = gen_clusters(4, 4, 8, 6.0, seed=6).features
         cfg = _mini_cfg(baseline=True, a=2.0)
         views = np.stack([x + 0.05, x - 0.05])
-        return params, _evaluate_baseline_step(cfg, params, views, 1, 0, RngState(9))
+        ev, _ = _evaluate_step(cfg, params, None, None, views, None, 1, 0, RngState(9))
+        return params, ev
 
     def test_step_equals_the_full_online_pass(self, monkeypatch):
         """The loss reads the full pass's z1; the gradient stops at the projector.
@@ -540,7 +563,8 @@ class TestOnePassPerStep:
         params, x1, x2 = self._setup()
         ref_params = copy_params(params)
         cfg = _mini_cfg(baseline=True, a=2.0)
-        ev = _evaluate_baseline_step(cfg, params, np.stack([x1, x2]), 1, 0, RngState(9))
+        views = np.stack([x1, x2])
+        ev, _ = _evaluate_step(cfg, params, None, None, views, None, 1, 0, RngState(9))
 
         za, cache_a = forward_projection(ref_params, x1)
         zb, cache_b = forward_projection(ref_params, x2)
@@ -570,7 +594,7 @@ class TestOnePassPerStep:
         )
         labels = np.arange(13, dtype=np.int64) % 4
         cfg = _mini_cfg(symmetrize=symmetrize, k=3, a=2.0)
-        ev, enqueue_view = _evaluate_psm_step(
+        ev, enqueue_view = _evaluate_step(
             cfg, params, target, bank, np.stack([x1, x2]), labels, 1, 0, RngState(9)
         )
 
@@ -578,12 +602,12 @@ class TestOnePassPerStep:
         z2a, z2b = np.split(cands_hard, 2)
         rng_pnsm = RngState(9).split("pnsm", 1, 0)
         za, qa, cache_a = forward_online(ref_params, x1)
-        dirs = [_psm_pass(cfg, bank, za, qa, z2b, cands_hard, labels, rng_pnsm)]
+        dirs = [_pass(cfg, bank, za, qa, z2b, cands_hard, labels, rng_pnsm)]
         caches = [cache_a]
         if symmetrize:
             zb, qb, cache_b = forward_online(ref_params, x2)
             rng_b = rng_pnsm.split("pass", 1)
-            dirs.append(_psm_pass(cfg, bank, zb, qb, z2a, cands_hard, labels, rng_b))
+            dirs.append(_pass(cfg, bank, zb, qb, z2a, cands_hard, labels, rng_b))
             caches.append(cache_b)
 
         def mean(values):

@@ -7,7 +7,9 @@ then run the same ``psm`` calls, each in its own process with BLAS pinned to
 one thread, at most two at a time:
 
 * 4-epoch ``c4,d32,n128,sep2`` pretrain runs: plain, ``--baseline``,
-  ``--baseline --no-pnsm``, ``--symmetrize``, ``--no-soft``,
+  ``--baseline --no-pnsm``, ``baseline_switches`` (``--baseline`` with the
+  flags it ignores: ``--symmetrize --no-soft --no-hard --lambda 0.5
+  --strategy V2 --span mined_only``), ``--symmetrize``, ``--no-soft``,
   ``--strategy V2``, a config with ``{"bn": false}`` and ``allflags``, which
   sets every other ``pretrain`` flag (``--k 3 --a 1.5 --lambda 0.5 --t 0.3
   --bank 700 --probe-every 2 --span mined_only --no-hard``);
@@ -72,6 +74,10 @@ RUNS = {
     "plain": SMALL,
     "baseline": [*SMALL, "--baseline"],
     "baseline_nopnsm": [*SMALL, "--baseline", "--no-pnsm"],
+    "baseline_switches": [
+        *SMALL, "--baseline", "--symmetrize", "--no-soft", "--no-hard", "--lambda", "0.5",
+        "--strategy", "V2", "--span", "mined_only",
+    ],
     "sym": [*SMALL, "--symmetrize"],
     "nosoft": [*SMALL, "--no-soft"],
     "v2": [*SMALL, "--strategy", "V2"],
